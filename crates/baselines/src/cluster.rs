@@ -15,8 +15,9 @@ use std::sync::Arc;
 use sds_protocol::{
     Codec, DiscoveryMessage, MaintenanceOp, ModelId, Operation, PublishOp, QueryOp,
 };
-use sds_registry::{RegistryEngine, SemanticEvaluator, TemplateEvaluator, UriEvaluator};
-use sds_registry::LeasePolicy;
+use sds_registry::{
+    LeasePolicy, SemanticEvaluator, ShardedEngine, TemplateEvaluator, UriEvaluator,
+};
 use sds_semantic::SubsumptionIndex;
 use sds_simnet::{Ctx, Destination, NodeHandler, NodeId, SimTime, TimerId};
 
@@ -50,7 +51,7 @@ impl Default for ClusterConfig {
 pub struct ClusterRegistryNode {
     cfg: ClusterConfig,
     semantic_index: Option<Arc<SubsumptionIndex>>,
-    engine: RegistryEngine,
+    engine: ShardedEngine,
     /// Publishes accepted directly from providers (not replication traffic).
     pub direct_publishes: u64,
 }
@@ -61,9 +62,10 @@ impl ClusterRegistryNode {
         Self { cfg, semantic_index, engine, direct_publishes: 0 }
     }
 
-    fn fresh_engine(cfg: &ClusterConfig, idx: &Option<Arc<SubsumptionIndex>>) -> RegistryEngine {
-        // UDDI semantics: no leases, ever.
-        let mut engine = RegistryEngine::new(LeasePolicy::no_leasing());
+    fn fresh_engine(cfg: &ClusterConfig, idx: &Option<Arc<SubsumptionIndex>>) -> ShardedEngine {
+        // UDDI semantics: no leases, ever — and one shard: a replica is one
+        // plain registry.
+        let mut engine = ShardedEngine::new(LeasePolicy::no_leasing(), 1, idx.as_deref());
         for model in &cfg.models {
             match model {
                 ModelId::Uri => engine.register_evaluator(Box::new(UriEvaluator)),
@@ -78,7 +80,7 @@ impl ClusterRegistryNode {
         engine
     }
 
-    pub fn engine(&self) -> &RegistryEngine {
+    pub fn engine(&self) -> &ShardedEngine {
         &self.engine
     }
 

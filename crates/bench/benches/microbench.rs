@@ -14,7 +14,7 @@ use sds_protocol::{
     QueryMessage, Uuid,
 };
 use sds_registry::{
-    LeasePolicy, RegistryEngine, RegistryStore, SemanticEvaluator, TemplateEvaluator, UriEvaluator,
+    LeasePolicy, RegistryStore, SemanticEvaluator, ShardedEngine, TemplateEvaluator, UriEvaluator,
 };
 use sds_semantic::{
     Interner, Matchmaker, ServiceRequest, SubsumptionIndex, Triple, TriplePattern, TripleStore,
@@ -118,7 +118,7 @@ fn bench_registry_evaluate(h: &mut Harness) {
             &classes,
             &PopulationSpec { model, services: 1_000, queries: 16, generalization_rate: 0.5, seed: 2 },
         );
-        let mut engine = RegistryEngine::new(LeasePolicy::default());
+        let mut engine = ShardedEngine::new(LeasePolicy::default(), 1, Some(&idx));
         engine.register_evaluator(Box::new(UriEvaluator));
         engine.register_evaluator(Box::new(TemplateEvaluator));
         engine.register_evaluator(Box::new(SemanticEvaluator::new(idx.clone())));

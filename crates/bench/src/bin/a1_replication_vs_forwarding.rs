@@ -1,17 +1,18 @@
-//! A1 — Ablation: push advertisements vs forward queries (paper §4.9).
+//! A1 — Ablation: replicate advertisements vs forward queries (paper §4.9).
 //!
 //! "There are lots of different design choices, e.g. to push or pull
 //! advertisements between registries … Strategies for forwarding
 //! advertisements or queries are part of the subject registry cooperation."
 //!
-//! The same federated world is run with (a) query forwarding only (the
-//! default), (b) advert replication only, and (c) both. Replication moves
+//! The same federated world is run with (a) query forwarding only
+//! (`sync_interval = 0`), (b) anti-entropy advert replication only
+//! (`ForwardStrategy::None`), and (c) both (the default). Replication moves
 //! cost from query time (WAN forwards, response latency) to publish time
-//! (periodic pushes of full — large, semantic — advertisements); which wins
-//! depends on the query:service-churn ratio, so we sweep the query rate.
+//! (digest rounds plus deltas for whatever changed); which wins depends on
+//! the query:service-churn ratio, so we sweep the query rate.
 
 use sds_bench::{f2, kib, run_query_phase, Table};
-use sds_core::{ForwardStrategy, QueryOptions, SyncMode};
+use sds_core::{ForwardStrategy, QueryOptions};
 use sds_protocol::ModelId;
 use sds_simnet::secs;
 use sds_workload::{Deployment, PopulationSpec, Scenario, ScenarioConfig};
@@ -19,7 +20,7 @@ use sds_workload::{Deployment, PopulationSpec, Scenario, ScenarioConfig};
 struct Mode {
     name: &'static str,
     strategy: ForwardStrategy,
-    push_interval: u64,
+    sync_interval: u64,
 }
 
 fn run(mode: &Mode, queries: usize, seed: u64) -> (f64, f64, u64, u64, f64) {
@@ -37,13 +38,9 @@ fn run(mode: &Mode, queries: usize, seed: u64) -> (f64, f64, u64, u64, f64) {
         ..Default::default()
     };
     cfg.registry.strategy = mode.strategy.clone();
-    cfg.registry.advert_push_interval = mode.push_interval;
-    // This ablation compares the legacy cooperation modes against each
-    // other; the anti-entropy plane (F1) would replicate underneath all
-    // three and wash out the contrast.
-    cfg.registry.sync_mode = SyncMode::Legacy;
+    cfg.registry.sync_interval = mode.sync_interval;
     let mut s = Scenario::build(cfg);
-    s.sim.run_until(secs(15)); // let at least one push round happen
+    s.sim.run_until(secs(15)); // let at least one sync round happen
     s.sim.reset_stats();
     let report = run_query_phase(
         &mut s,
@@ -53,20 +50,22 @@ fn run(mode: &Mode, queries: usize, seed: u64) -> (f64, f64, u64, u64, f64) {
     );
     let stats = s.sim.stats();
     let query_bytes = stats.kind("query").bytes + stats.kind("query-response").bytes;
-    let push_bytes = stats.kind("fwd-adverts").bytes;
-    (report.recall_mean, report.first_response_ms.mean, query_bytes, push_bytes, {
+    let sync_bytes = stats.kind("sync-digest").bytes
+        + stats.kind("sync-delta").bytes
+        + stats.kind("sync-ack").bytes;
+    (report.recall_mean, report.first_response_ms.mean, query_bytes, sync_bytes, {
         stats.wan_bytes as f64
     })
 }
 
 fn main() {
     let modes = [
-        Mode { name: "forward queries", strategy: ForwardStrategy::Flood { ttl: 4 }, push_interval: 0 },
-        Mode { name: "replicate adverts", strategy: ForwardStrategy::None, push_interval: secs(10) },
+        Mode { name: "forward queries", strategy: ForwardStrategy::Flood { ttl: 4 }, sync_interval: 0 },
+        Mode { name: "replicate adverts", strategy: ForwardStrategy::None, sync_interval: secs(10) },
         Mode {
-            name: "both",
+            name: "both (default)",
             strategy: ForwardStrategy::Flood { ttl: 4 },
-            push_interval: secs(10),
+            sync_interval: secs(10),
         },
     ];
     let mut table = Table::new(&[
@@ -75,19 +74,19 @@ fn main() {
         "recall",
         "1st-resp ms",
         "query KiB",
-        "push KiB",
+        "sync KiB",
         "WAN KiB",
     ]);
     for queries in [8usize, 64] {
         for mode in &modes {
-            let (recall, latency, qb, pb, wan) = run(mode, queries, 51);
+            let (recall, latency, qb, sb, wan) = run(mode, queries, 51);
             table.row(&[
                 mode.name.into(),
                 queries.to_string(),
                 f2(recall),
                 f2(latency),
                 kib(qb),
-                kib(pb),
+                kib(sb),
                 f2(wan / 1024.0),
             ]);
         }
@@ -95,8 +94,9 @@ fn main() {
     table.print("A1: registry cooperation — query forwarding vs advert replication");
     println!(
         "Expected shape: replication answers locally (lowest first-response latency,\n\
-         near-zero query traffic) but pays a constant push stream of large semantic\n\
-         adverts, so it wins only when queries are frequent relative to the push\n\
-         budget; forwarding pays per query. 'Both' buys latency at maximal traffic."
+         least query traffic) and pays a sync stream that scales with elapsed time\n\
+         and change rate, not with demand; forwarding pays per query, in bytes and\n\
+         in the aggregation window. 'Both' pays both bills and still waits out the\n\
+         window."
     );
 }

@@ -19,7 +19,7 @@ use sds_protocol::{
     Advertisement, Description, DescriptionTemplate, ModelId, QueryId, QueryMessage, QueryPayload,
     Uuid,
 };
-use sds_registry::{LeasePolicy, RegistryEngine, SemanticEvaluator, TemplateEvaluator, UriEvaluator};
+use sds_registry::{LeasePolicy, SemanticEvaluator, ShardedEngine, TemplateEvaluator, UriEvaluator};
 use sds_semantic::SubsumptionIndex;
 use sds_semantic::{ServiceRequest};
 use sds_simnet::{secs, NodeId};
@@ -121,7 +121,7 @@ fn eval_cost(model: ModelId, n: usize, seed: u64) -> f64 {
     };
     let w = Workload::generate(&ont, &classes, &spec);
 
-    let mut engine = RegistryEngine::new(LeasePolicy::default());
+    let mut engine = ShardedEngine::new(LeasePolicy::default(), 1, Some(&idx));
     engine.register_evaluator(Box::new(UriEvaluator));
     engine.register_evaluator(Box::new(TemplateEvaluator));
     engine.register_evaluator(Box::new(SemanticEvaluator::new(idx)));

@@ -27,7 +27,7 @@ use sds_protocol::{
 };
 use sds_rand::Rng;
 use sds_registry::{
-    LeasePolicy, RegistryEngine, SemanticEvaluator, TemplateEvaluator, UriEvaluator,
+    LeasePolicy, SemanticEvaluator, ShardedEngine, TemplateEvaluator, UriEvaluator,
 };
 use sds_semantic::{ClassId, Ontology, ServiceProfile, ServiceRequest, SubsumptionIndex};
 use sds_simnet::NodeId;
@@ -89,8 +89,8 @@ fn query(model: ModelId, n: usize, query_category: ClassId) -> QueryMessage {
     }
 }
 
-fn engine_with(n: usize, model: ModelId, leaves: &[ClassId], idx: Arc<SubsumptionIndex>) -> RegistryEngine {
-    let mut engine = RegistryEngine::new(LeasePolicy::default());
+fn engine_with(n: usize, model: ModelId, leaves: &[ClassId], idx: Arc<SubsumptionIndex>) -> ShardedEngine {
+    let mut engine = ShardedEngine::new(LeasePolicy::default(), 1, Some(&idx));
     engine.register_evaluator(Box::new(UriEvaluator));
     engine.register_evaluator(Box::new(TemplateEvaluator));
     engine.register_evaluator(Box::new(SemanticEvaluator::new(idx)));

@@ -6,7 +6,8 @@
 //! publish churn and lease expiry. This binary drives that mix through four
 //! data-plane configurations over the same advert population:
 //!
-//! * `unsharded`    — [`RegistryEngine`], one evaluation per query;
+//! * `s1`           — [`ShardedEngine`] at one shard (the unsharded registry),
+//!   one evaluation per query: the baseline every "vs s1" ratio divides by;
 //! * `sharded`      — [`ShardedEngine`] (4 shards), routed single evaluations;
 //! * `shard+batch`  — per-burst [`ShardedEngine::evaluate_batch`]: identical
 //!   in-flight queries coalesce to one evaluation and semantic taxonomy
@@ -37,8 +38,8 @@ use sds_protocol::{
 };
 use sds_rand::Rng;
 use sds_registry::{
-    cache_key, LeasePolicy, QueryCache, RegistryEngine, SemanticEvaluator, ShardedEngine,
-    TemplateEvaluator, UriEvaluator,
+    cache_key, LeasePolicy, QueryCache, SemanticEvaluator, ShardedEngine, TemplateEvaluator,
+    UriEvaluator,
 };
 use sds_semantic::{ClassId, Ontology, ServiceProfile, ServiceRequest, SubsumptionIndex};
 use sds_simnet::NodeId;
@@ -150,17 +151,6 @@ fn base_population(n: usize, leaves: &[ClassId]) -> Vec<Advertisement> {
     (0..n).map(|i| advert(i, leaves, &mut rng)).collect()
 }
 
-fn unsharded_engine(adverts: &[Advertisement], idx: &Arc<SubsumptionIndex>) -> RegistryEngine {
-    let mut e = RegistryEngine::new(LeasePolicy::default());
-    e.register_evaluator(Box::new(UriEvaluator));
-    e.register_evaluator(Box::new(TemplateEvaluator));
-    e.register_evaluator(Box::new(SemanticEvaluator::new(idx.clone())));
-    for a in adverts {
-        e.publish(a.clone(), NodeId(0), 0, 1_000_000);
-    }
-    e
-}
-
 fn sharded(adverts: &[Advertisement], idx: &Arc<SubsumptionIndex>) -> ShardedEngine {
     sharded_with(adverts, idx, SHARDS, 1)
 }
@@ -203,27 +193,6 @@ impl RunStats {
     fn mean(&self) -> f64 {
         self.total_secs / self.queries as f64
     }
-}
-
-fn run_unsharded(engine: &mut RegistryEngine, bursts: &[Burst]) -> RunStats {
-    let mut stats = RunStats { total_secs: 0.0, queries: 0, latencies: Vec::new() };
-    let mut now = 0u64;
-    for burst in bursts {
-        now += BURST_DT;
-        for a in &burst.churn {
-            engine.publish(a.clone(), NodeId(0), now, CHURN_LEASE_MS);
-        }
-        for q in &burst.queries {
-            let t = Instant::now();
-            let hits = engine.evaluate(q, now);
-            let dt = t.elapsed().as_secs_f64();
-            std::hint::black_box(hits);
-            stats.total_secs += dt;
-            stats.latencies.push(dt);
-            stats.queries += 1;
-        }
-    }
-    stats
 }
 
 fn run_sharded(engine: &mut ShardedEngine, bursts: &[Burst], batch: bool) -> RunStats {
@@ -312,7 +281,7 @@ fn main() {
         "queries/s",
         "p50 µs",
         "p99 µs",
-        "vs unsharded",
+        "vs s1",
     ]);
     let mut headline = Vec::new();
 
@@ -325,7 +294,7 @@ fn main() {
         let bursts = make_bursts(n, bursts_per_run, &pool, &leaves);
         let built =
             sds_bench::parallel::map(&[(); 3], |_, _| sharded(&population, &idx));
-        let mut reference = unsharded_engine(&population, &idx);
+        let mut reference = sharded_with(&population, &idx, 1, 1);
         let mut engines = built.into_iter();
         let mut plain = engines.next().expect("built");
         let mut batched = engines.next().expect("built");
@@ -341,12 +310,12 @@ fn main() {
             reply_to: None,
         };
         let want = reference.evaluate(&probe, 1);
-        assert_eq!(want, plain.evaluate(&probe, 1), "sharded must match unsharded");
+        assert_eq!(want, plain.evaluate(&probe, 1), "sharded must match one shard");
         let probe_batch = plain.evaluate_batch(std::slice::from_ref(&probe), 1);
-        assert_eq!(want.as_slice(), probe_batch.hits(0), "batched must match unsharded");
+        assert_eq!(want.as_slice(), probe_batch.hits(0), "batched must match one shard");
 
         let runs: Vec<(&str, RunStats)> = vec![
-            ("unsharded", run_unsharded(&mut reference, &bursts)),
+            ("s1", run_sharded(&mut reference, &bursts, false)),
             ("sharded", run_sharded(&mut plain, &bursts, false)),
             ("shard+batch", run_sharded(&mut batched, &bursts, true)),
             ("shard+cache", run_cached(&mut cached, &bursts, &idx)),
@@ -386,7 +355,7 @@ fn main() {
             assert_eq!(
                 want.as_slice(),
                 engine.evaluate_batch(std::slice::from_ref(&probe), 1).hits(0),
-                "parallel batch must match unsharded at s={s} w={w}"
+                "parallel batch must match one shard at s={s} w={w}"
             );
             let mut stats = run_sharded(&mut engine, &bursts, true);
             let name = format!("batch/s{s}w{w}");
@@ -411,7 +380,7 @@ fn main() {
                 .expect("matrix ran")
         };
         if n == *sizes.last().unwrap() {
-            // mean = 1/qps per query, so "vs unsharded" = base_mean * qps.
+            // mean = 1/qps per query, so "vs s1" = base_mean * qps.
             headline.push((format!("batch/s{SHARDS}w4"), base_mean * qps_at(SHARDS, 4)));
         }
         let cores = std::thread::available_parallelism().map(|c| c.get()).unwrap_or(1);
@@ -429,7 +398,7 @@ fn main() {
     table.print("Q2: mixed query/publish/expiry workload by data-plane configuration");
     for (name, speedup) in &headline {
         println!(
-            "{name} at {} adverts: {speedup:.1}x vs unsharded",
+            "{name} at {} adverts: {speedup:.1}x vs s1",
             sizes.last().unwrap()
         );
     }

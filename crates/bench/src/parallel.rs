@@ -42,20 +42,12 @@
 /// harness, so it is now a hard error.
 pub fn workers() -> usize {
     match std::env::var("SDS_BENCH_THREADS") {
-        Ok(raw) => match parse_threads(&raw) {
+        Ok(raw) => match sds_registry::pool::parse_workers(&raw) {
             Ok(n) => n,
             Err(why) => panic!("invalid SDS_BENCH_THREADS={raw:?}: {why}"),
         },
         Err(_) => std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
     }
-}
-
-/// Validates an `SDS_BENCH_THREADS` value: a positive integer (surrounding
-/// whitespace tolerated). Delegates to the workspace-wide rules in
-/// [`sds_registry::pool::parse_workers`], so every thread-count knob
-/// (`SDS_BENCH_THREADS`, `SDS_REGISTRY_WORKERS`) rejects the same garbage.
-fn parse_threads(raw: &str) -> Result<usize, String> {
-    sds_registry::pool::parse_workers(raw)
 }
 
 /// Applies `f` to every item, fanning across up to [`workers`] threads, and
@@ -147,21 +139,6 @@ mod tests {
     #[test]
     fn workers_is_positive() {
         assert!(workers() >= 1);
-    }
-
-    #[test]
-    fn thread_override_accepts_positive_integers() {
-        assert_eq!(parse_threads("1"), Ok(1));
-        assert_eq!(parse_threads("16"), Ok(16));
-        assert_eq!(parse_threads("  4 "), Ok(4), "surrounding whitespace tolerated");
-    }
-
-    #[test]
-    fn thread_override_rejects_zero_and_garbage() {
-        for bad in ["0", "", "  ", "four", "-2", "1.5", "2x", "0x4"] {
-            let got = parse_threads(bad);
-            assert!(got.is_err(), "{bad:?} must be rejected, got {got:?}");
-        }
     }
 
     #[test]

@@ -178,22 +178,6 @@ impl Default for ForwardStrategy {
     }
 }
 
-/// How federated registries keep their replicated advert sets consistent.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum SyncMode {
-    /// Digest-based anti-entropy (default): a periodic `SyncDigest` round
-    /// per peer, delta replies for mismatched buckets only, and a single
-    /// digest round on probation reinstatement. Converges through loss and
-    /// partitions at O(divergence) wire cost.
-    #[default]
-    AntiEntropy,
-    /// The pre-anti-entropy behaviour, byte-for-byte: fire-and-forget
-    /// `ForwardAdverts` rounds on `advert_push_interval` /
-    /// `advert_pull_interval`, and a full advert push on reinstatement.
-    /// Selecting this reproduces the historical golden digests exactly.
-    Legacy,
-}
-
 /// How a node finds its first registry.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Bootstrap {
@@ -288,24 +272,13 @@ pub struct RegistryConfig {
     /// RegistryLists (default). Disabling pins the overlay to the explicit
     /// seeding graph — used to study forwarding strategies on chains/rings.
     pub transitive_peering: bool,
-    /// Push locally published advertisements to federation peers at this
-    /// interval (0 disables). This is the paper's replication-style registry
-    /// cooperation strategy ("to push or pull advertisements between
-    /// registries"): queries then hit locally at every registry, trading
-    /// publish traffic for query traffic.
-    pub advert_push_interval: SimTime,
-    /// Pull peers' locally published advertisements at this interval (0
-    /// disables) — the pull half of "push or pull advertisements between
-    /// registries". Pulling happens during the signaling round, one random
-    /// peer at a time.
-    pub advert_pull_interval: SimTime,
-    /// Federation replication machinery: digest-based anti-entropy
-    /// (default) or the legacy push/pull rounds. Push/pull timers only run
-    /// in [`SyncMode::Legacy`]; the anti-entropy sync timer only in
-    /// [`SyncMode::AntiEntropy`].
-    pub sync_mode: SyncMode,
-    /// Anti-entropy round period per peer (0 disables the rounds even in
-    /// [`SyncMode::AntiEntropy`]).
+    /// Anti-entropy round period per peer; 0 disables replication. This is
+    /// the paper's replication-style registry cooperation ("to push or pull
+    /// advertisements between registries"): a periodic `SyncDigest` per
+    /// peer pulls delta replies for mismatched buckets only, plus a single
+    /// digest round on federation join and probation reinstatement, so
+    /// queries hit locally at every registry at O(divergence) wire cost,
+    /// converging through loss and partitions.
     pub sync_interval: SimTime,
     /// Number of digest buckets per sync round. More buckets mean finer
     /// mismatch localization (smaller deltas) at a linear digest cost.
@@ -361,9 +334,6 @@ impl Default for RegistryConfig {
             seen_retention: secs(30),
             gateway_election: true,
             transitive_peering: true,
-            advert_push_interval: 0,
-            advert_pull_interval: 0,
-            sync_mode: SyncMode::default(),
             sync_interval: secs(10),
             sync_buckets: 16,
             gossip_peer_cap: 64,
@@ -490,7 +460,6 @@ mod tests {
         let q = QueryOptions::default();
         assert!(q.timeout > r.response_window, "client must outwait aggregation");
         // Anti-entropy on by default, with sane digest geometry.
-        assert_eq!(r.sync_mode, SyncMode::AntiEntropy);
         assert!(r.sync_interval > 0 && r.sync_buckets > 0);
         // The parallel data plane defaults to the sequential path: one
         // shard, one worker — bit-for-bit the historical engine.

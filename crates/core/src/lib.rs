@@ -39,7 +39,7 @@ pub use attach::{AttachEvent, RegistryAttachment};
 pub use client_node::{ClientNode, CompletedQuery, CompositionResult, FetchedArtifact, Notification};
 pub use config::{
     AttachConfig, Bootstrap, ClientConfig, ForwardStrategy, OverloadPolicy, QueryMode,
-    QueryOptions, RegistryConfig, RetryPolicy, ServiceConfig, SyncMode,
+    QueryOptions, RegistryConfig, RetryPolicy, ServiceConfig,
 };
 pub use registry_node::{RegistryNode, RegistryNodeStats};
 pub use service_node::{ServiceNode, ServiceNodeStats};

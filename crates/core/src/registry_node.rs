@@ -35,7 +35,7 @@ use sds_registry::{
 use sds_semantic::{Artifact, ClassId, SubsumptionIndex};
 use sds_simnet::{Ctx, Destination, NodeId, NodeHandler, Rng, SimTime, TimerId};
 
-use crate::config::{ForwardStrategy, RegistryConfig, SyncMode};
+use crate::config::{ForwardStrategy, RegistryConfig};
 use crate::util::{send_msg, tags};
 
 /// The fixed wire size of a [`SyncEntry::Delta`] body (id, version, lease):
@@ -59,11 +59,11 @@ struct ProbationState {
     attempts: u8,
 }
 
-/// Per-peer anti-entropy bookkeeping (`RegistryConfig::sync_mode ==
-/// AntiEntropy`). Both maps carry the origin's *stated* version and lease so
-/// digest comparison is independent of locally granted lease times, and both
-/// are pruned whenever the corresponding advert leaves the store ("believed
-/// synced ⊆ stored") so beliefs can never silently diverge from reality.
+/// Per-peer anti-entropy bookkeeping. Both maps carry the origin's *stated*
+/// version and lease so digest comparison is independent of locally granted
+/// lease times, and both are pruned whenever the corresponding advert leaves
+/// the store ("believed synced ⊆ stored") so beliefs can never silently
+/// diverge from reality.
 #[derive(Default, Debug)]
 struct PeerSync {
     /// Our belief of the peer's first-hand set: replicas we hold from it,
@@ -126,7 +126,6 @@ pub struct RegistryNodeStats {
     pub federation_responses: u64,
     pub adverts_purged: u64,
     pub notifications_sent: u64,
-    pub push_rounds: u64,
     /// Publishes rejected because the advert referenced ontology concepts
     /// this registry does not know (direct publishes nacked, plus replicated
     /// adverts silently skipped).
@@ -360,27 +359,18 @@ impl RegistryNode {
     }
 
     /// Peer-list payload for federation gossip (`FederationJoin::known_peers`
-    /// / `FederationAck::peers`) toward `recipient`. Anti-entropy mode bounds
-    /// it: sorted, deduplicated, never naming the recipient or the sender
-    /// (the receiver learns the sender from the message itself), and capped
-    /// at `gossip_peer_cap` so each gossip payload stays O(cap) instead of
-    /// O(federation). Legacy mode reproduces the historical unbounded payload
-    /// byte-for-byte — the chaos-soak golden digests hash corrupted-frame
-    /// outcomes, which depend on exact frame bytes.
-    fn gossip_peer_list(&self, recipient: NodeId, append_self: Option<NodeId>) -> Vec<NodeId> {
-        let mut list: Vec<NodeId> = self.peers.keys().copied().collect();
-        if self.cfg.sync_mode == SyncMode::Legacy {
-            if let Some(id) = append_self {
-                list.push(id);
-            }
-            return list;
-        }
-        // BTreeMap keys are already sorted and unique; dedup is insurance
-        // against future callers handing in merged lists.
-        list.dedup();
-        list.retain(|&p| p != recipient);
-        list.truncate(self.cfg.gossip_peer_cap);
-        list
+    /// / `FederationAck::peers`) toward `recipient`: sorted and unique (the
+    /// peer map's key order), never naming the recipient or the sender (the
+    /// receiver learns the sender from the message itself), and capped at
+    /// `gossip_peer_cap` so each gossip payload stays O(cap) instead of
+    /// O(federation).
+    fn gossip_peer_list(&self, recipient: NodeId) -> Vec<NodeId> {
+        self.peers
+            .keys()
+            .copied()
+            .filter(|&p| p != recipient)
+            .take(self.cfg.gossip_peer_cap)
+            .collect()
     }
 
     fn join_seeds_to(&self, ctx: &mut Ctx<'_, DiscoveryMessage>, targets: &[NodeId]) {
@@ -388,7 +378,7 @@ impl RegistryNode {
             if target == ctx.node() {
                 continue;
             }
-            let known_peers = self.gossip_peer_list(target, None);
+            let known_peers = self.gossip_peer_list(target);
             send_msg(
                 ctx,
                 self.cfg.codec,
@@ -476,23 +466,12 @@ impl RegistryNode {
             entry.unanswered_pings = 0;
         }
         self.join_seeds_to(ctx, &[id]);
-        match self.cfg.sync_mode {
-            // The belief maps survived probation, so one digest round heals
-            // in O(divergence): only what changed while the peer was dark
-            // flows, not the whole store.
-            SyncMode::AntiEntropy => {
-                if self.cfg.sync_interval > 0 {
-                    self.send_sync_digest(ctx, id);
-                }
-            }
-            // Legacy replication re-announces with a full advert push — but
-            // only when push replication is actually enabled; a pull-only or
-            // replication-free deployment must not start pushing here.
-            SyncMode::Legacy => {
-                if self.cfg.advert_push_interval > 0 {
-                    self.push_adverts(ctx);
-                }
-            }
+        // The belief maps survived probation, so one digest round heals in
+        // O(divergence): only what changed while the peer was dark flows,
+        // not the whole store. A replication-free deployment
+        // (`sync_interval == 0`) must not start replicating here.
+        if self.anti_entropy_on() {
+            self.send_sync_digest(ctx, id);
         }
     }
 
@@ -882,37 +861,9 @@ impl RegistryNode {
         }
     }
 
-    /// Replication round: push live, locally published adverts (those whose
-    /// source is the provider itself, not another registry) to all peers.
-    fn push_adverts(&mut self, ctx: &mut Ctx<'_, DiscoveryMessage>) {
-        let now = ctx.now();
-        let adverts: Vec<Advertisement> = self
-            .engine
-            .store()
-            .live(now)
-            .filter(|s| s.source == s.advert.provider)
-            .map(|s| s.advert.clone())
-            .collect();
-        if adverts.is_empty() {
-            return;
-        }
-        self.stats.push_rounds += 1;
-        let peers: Vec<NodeId> = self.peers.keys().copied().collect();
-        for peer in peers {
-            send_msg(
-                ctx,
-                self.cfg.codec,
-                Destination::Unicast(peer),
-                DiscoveryMessage::publishing(PublishOp::ForwardAdverts {
-                    adverts: adverts.clone(),
-                }),
-            );
-        }
-    }
-
-    /// Whether this node runs the anti-entropy replication plane.
+    /// Whether this node replicates adverts with its federation peers.
     fn anti_entropy_on(&self) -> bool {
-        self.cfg.sync_mode == SyncMode::AntiEntropy && self.cfg.sync_interval > 0
+        self.cfg.sync_interval > 0
     }
 
     /// One anti-entropy round toward `peer`: fold our *belief* of the peer's
@@ -1025,7 +976,7 @@ impl RegistryNode {
                 SyncEntry::Full { advert, lease_until } => {
                     mentioned.push(advert.id);
                     // Replicated adverts get the same ontology check as
-                    // legacy push replication; there is no provider to nack.
+                    // direct publishes; there is no provider to nack.
                     if !self.unknown_concepts(&advert).is_empty() {
                         self.stats.publishes_nacked += 1;
                         continue;
@@ -1174,7 +1125,7 @@ impl RegistryNode {
             }
             MaintenanceOp::FederationJoin { known_peers } => {
                 let self_id = ctx.node();
-                let peers = self.gossip_peer_list(from, Some(self_id));
+                let peers = self.gossip_peer_list(from);
                 self.add_peer(from, ctx.now(), self_id);
                 if self.cfg.transitive_peering {
                     for p in known_peers {
@@ -1190,8 +1141,8 @@ impl RegistryNode {
                 if self.anti_entropy_on() {
                     // A (re)joining peer may have restarted with nothing: our
                     // delta-encoding base is void, and one immediate digest
-                    // round replaces the legacy full push for initial
-                    // replication (the peer corrects whatever differs).
+                    // round does the initial replication (the peer corrects
+                    // whatever differs).
                     if let Some(st) = self.sync.get_mut(&from) {
                         st.acked.clear();
                     }
@@ -1257,24 +1208,6 @@ impl RegistryNode {
                 if let Some(p) = self.peers.get_mut(&from) {
                     p.advert_count = advert_count;
                     p.last_seen = ctx.now();
-                }
-            }
-            MaintenanceOp::AdvertPullRequest => {
-                let now = ctx.now();
-                let adverts: Vec<sds_protocol::Advertisement> = self
-                    .engine
-                    .store()
-                    .live(now)
-                    .filter(|s| s.source == s.advert.provider)
-                    .map(|s| s.advert.clone())
-                    .collect();
-                if !adverts.is_empty() {
-                    send_msg(
-                        ctx,
-                        self.cfg.codec,
-                        Destination::Unicast(from),
-                        DiscoveryMessage::publishing(PublishOp::ForwardAdverts { adverts }),
-                    );
                 }
             }
             MaintenanceOp::ArtifactRequest { name } => {
@@ -1406,21 +1339,11 @@ impl RegistryNode {
                     st.acked.remove(&id);
                 }
             }
-            PublishOp::ForwardAdverts { adverts } => {
-                for advert in adverts {
-                    // Replicated adverts get the same ontology check as direct
-                    // publishes, but there is no provider to nack: skip.
-                    if !self.unknown_concepts(&advert).is_empty() {
-                        self.stats.publishes_nacked += 1;
-                        continue;
-                    }
-                    let (outcome, _) = self.publish_cached(advert.clone(), from, ctx.now(), 0);
-                    if outcome == PublishOutcome::New {
-                        self.notify_subscribers(ctx, &advert);
-                    }
-                }
-            }
-            PublishOp::PublishAck { .. }
+            // `ForwardAdverts` is the cluster baseline's full-copy
+            // replication; federated registries replicate by sync digests
+            // and deltas and take adverts from no other op.
+            PublishOp::ForwardAdverts { .. }
+            | PublishOp::PublishAck { .. }
             | PublishOp::RenewAck { .. }
             | PublishOp::PublishNack { .. } => {}
         }
@@ -1602,22 +1525,8 @@ impl NodeHandler<DiscoveryMessage> for RegistryNode {
         if self.cfg.signaling_interval > 0 {
             ctx.set_timer(self.cfg.signaling_interval, tags::SIGNALING);
         }
-        // The sync mode selects the replication plane: anti-entropy digest
-        // rounds, or the legacy push/pull timers — never both.
-        match self.cfg.sync_mode {
-            SyncMode::AntiEntropy => {
-                if self.cfg.sync_interval > 0 {
-                    ctx.set_timer(self.cfg.sync_interval, tags::SYNC);
-                }
-            }
-            SyncMode::Legacy => {
-                if self.cfg.advert_push_interval > 0 {
-                    ctx.set_timer(self.cfg.advert_push_interval, tags::ADVERT_PUSH);
-                }
-                if self.cfg.advert_pull_interval > 0 {
-                    ctx.set_timer(self.cfg.advert_pull_interval, tags::ADVERT_PULL);
-                }
-            }
+        if self.anti_entropy_on() {
+            ctx.set_timer(self.cfg.sync_interval, tags::SYNC);
         }
         if self.cfg.query_cache_capacity > 0 && self.cfg.cache_sweep_interval > 0 {
             ctx.set_timer(self.cfg.cache_sweep_interval, tags::CACHE_SWEEP);
@@ -1735,23 +1644,6 @@ impl NodeHandler<DiscoveryMessage> for RegistryNode {
                     );
                 }
                 ctx.set_timer(self.cfg.signaling_interval, tags::SIGNALING);
-            }
-            tags::ADVERT_PUSH => {
-                self.push_adverts(ctx);
-                ctx.set_timer(self.cfg.advert_push_interval, tags::ADVERT_PUSH);
-            }
-            tags::ADVERT_PULL => {
-                let peers: Vec<NodeId> = self.peers.keys().copied().collect();
-                if !peers.is_empty() {
-                    let target = peers[ctx.rng().gen_range(0..peers.len())];
-                    send_msg(
-                        ctx,
-                        self.cfg.codec,
-                        Destination::Unicast(target),
-                        DiscoveryMessage::maintenance(MaintenanceOp::AdvertPullRequest),
-                    );
-                }
-                ctx.set_timer(self.cfg.advert_pull_interval, tags::ADVERT_PULL);
             }
             tags::SYNC => {
                 // Anti-entropy round: one digest per peer. Belief state for

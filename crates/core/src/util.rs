@@ -28,10 +28,6 @@ pub(crate) mod tags {
     pub const RENEW: u64 = 7;
     /// Registry: retry federation seeds while peerless.
     pub const SEED_RETRY: u64 = 8;
-    /// Registry: replication round — push local adverts to peers.
-    pub const ADVERT_PUSH: u64 = 9;
-    /// Registry: pull round — request a random peer's local adverts.
-    pub const ADVERT_PULL: u64 = 10;
     /// Attachment: probe decision window elapsed — pick the best reply.
     pub const PROBE_DECIDE: u64 = 11;
     /// Registry: periodic query-cache sweep — drop entries whose validity

@@ -1,9 +1,12 @@
-//! Tests for the anti-entropy replication plane: digest/delta rounds replace
-//! the legacy full-state push, gossip payloads stay bounded, and probation
-//! reinstatement no longer re-announces with a push when pushing is off.
+//! Tests for the anti-entropy replication plane: digest/delta rounds
+//! replicate, renew and forget, gossip payloads stay bounded, and probation
+//! reinstatement does not start replicating when replication is off.
 
-use sds_core::{RegistryConfig, RegistryNode, RetryPolicy, ServiceConfig, ServiceNode, SyncMode};
-use sds_protocol::{Description, DiscoveryMessage, MaintenanceOp, PublishOp};
+use sds_core::{
+    ClientConfig, ClientNode, ForwardStrategy, QueryOptions, RegistryConfig, RegistryNode,
+    RetryPolicy, ServiceConfig, ServiceNode,
+};
+use sds_protocol::{Description, DiscoveryMessage, MaintenanceOp, PublishOp, QueryPayload};
 use sds_simnet::{secs, NodeHandler, NodeId, Sim, SimConfig, Topology};
 
 fn two_lan_sim() -> (Sim<DiscoveryMessage>, sds_simnet::LanId, sds_simnet::LanId) {
@@ -62,16 +65,14 @@ fn gossip_peer_lists_are_capped_at_256_peers() {
     assert_eq!(deduped, seed_peers, "gossiped peer list carried duplicates");
 }
 
-/// Satellite regression: a probation reinstatement in legacy mode must not
-/// fire a full advert push when `advert_push_interval == 0` — replication
-/// that is switched off stays off through the suspect/reinstate cycle.
+/// A reinstated peer gets no `SyncDigest` while `sync_interval == 0`:
+/// replication that is switched off stays off through the suspect/reinstate
+/// cycle, although reinstatement is one of the events that open a round.
 #[test]
 fn reinstate_respects_disabled_push_replication() {
     let (mut sim, lan0, lan1) = two_lan_sim();
     let cfg = RegistryConfig {
-        sync_mode: SyncMode::Legacy,
-        advert_push_interval: 0,
-        advert_pull_interval: 0,
+        sync_interval: 0,
         probation: RetryPolicy::standard(),
         signaling_interval: 0,
         ..Default::default()
@@ -81,7 +82,7 @@ fn reinstate_respects_disabled_push_replication() {
         lan1,
         Box::new(RegistryNode::new(RegistryConfig { seeds: vec![r0], ..cfg }, None)),
     );
-    // r0 holds a first-hand advert it could (wrongly) push on reinstate.
+    // r0 holds a first-hand advert it could (wrongly) offer on reinstate.
     let _s = sim.add_node(
         lan0,
         Box::new(ServiceNode::new(
@@ -102,28 +103,36 @@ fn reinstate_respects_disabled_push_replication() {
     let r0_stats = sim.handler::<RegistryNode>(r0).unwrap().stats;
     assert!(r0_stats.peers_suspected >= 1, "crash was never suspected");
     assert!(r0_stats.peers_reinstated >= 1, "revived peer was never reinstated");
+    for kind in ["sync-digest", "sync-delta", "sync-ack"] {
+        assert_eq!(
+            sim.stats().kind(kind).messages,
+            0,
+            "{kind} sent although replication is disabled"
+        );
+    }
     assert_eq!(
-        sim.stats().kind("fwd-adverts").messages,
+        sim.handler::<RegistryNode>(r1).unwrap().engine().store().len(),
         0,
-        "reinstatement pushed adverts although push replication is disabled"
+        "r1 holds a replica although replication is disabled"
     );
 }
 
 /// The anti-entropy plane replicates without ever sending a full-state push:
 /// a remote first-hand advert appears as a replica after one digest/delta
-/// exchange, stays alive through delta-encoded renewals, and expires once
-/// the origin stops listing it.
+/// exchange, answers queries locally, stays alive through delta-encoded
+/// renewals, and expires once the origin stops listing it.
 #[test]
 fn anti_entropy_replicates_renews_and_forgets() {
     let (mut sim, lan0, lan1) = two_lan_sim();
-    let r0 = sim.add_node(lan0, Box::new(RegistryNode::new(RegistryConfig::default(), None)));
+    // Replication instead of forwarding: whatever r0 answers, it answers
+    // from its replicas.
+    let cfg = RegistryConfig { strategy: ForwardStrategy::None, ..Default::default() };
+    let r0 = sim.add_node(lan0, Box::new(RegistryNode::new(cfg.clone(), None)));
     let r1 = sim.add_node(
         lan1,
-        Box::new(RegistryNode::new(
-            RegistryConfig { seeds: vec![r0], ..Default::default() },
-            None,
-        )),
+        Box::new(RegistryNode::new(RegistryConfig { seeds: vec![r0], ..cfg }, None)),
     );
+    let c = sim.add_node(lan0, Box::new(ClientNode::new(ClientConfig::default())));
     let _s = sim.add_node(
         lan1,
         Box::new(ServiceNode::new(
@@ -133,7 +142,7 @@ fn anti_entropy_replicates_renews_and_forgets() {
         )),
     );
 
-    // Replication through sync rounds only — the legacy plane stays silent.
+    // Replication through sync rounds only.
     sim.run_until(secs(15));
     assert_eq!(
         sim.handler::<RegistryNode>(r0).unwrap().engine().store().len(),
@@ -142,6 +151,15 @@ fn anti_entropy_replicates_renews_and_forgets() {
     );
     assert_eq!(sim.stats().kind("fwd-adverts").messages, 0, "no full-state push");
     assert!(sim.stats().kind("sync-digest").messages > 0, "digest rounds ran");
+
+    // The replica answers a query in its LAN: no WAN query traffic at query
+    // time.
+    sim.with_node::<ClientNode>(c, |cl, ctx| {
+        cl.issue_query(ctx, QueryPayload::Uri("urn:svc:far".into()), QueryOptions::default());
+    });
+    sim.run_until(secs(21));
+    assert_eq!(sim.handler::<ClientNode>(c).unwrap().completed[0].hits.len(), 1);
+    assert_eq!(sim.stats().kind("query").messages, 1, "one local query, no forwarding");
 
     // Steady state: the origin keeps the replica alive with fixed-size
     // deltas (the service renews its lease every few seconds), never

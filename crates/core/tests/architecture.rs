@@ -4,7 +4,7 @@ use std::sync::Arc;
 
 use sds_core::{
     AttachConfig, Bootstrap, ClientConfig, ClientNode, ForwardStrategy, QueryMode, QueryOptions,
-    RegistryConfig, RegistryNode, ServiceConfig, ServiceNode, SyncMode,
+    RegistryConfig, RegistryNode, ServiceConfig, ServiceNode,
 };
 use sds_protocol::{Description, DiscoveryMessage, QueryPayload};
 use sds_semantic::{
@@ -349,13 +349,10 @@ fn gateway_election_avoids_redundant_wan_forwards() {
 fn random_walk_forwards_to_limited_peers() {
     let mut w = world(5, 13);
     let strategy = ForwardStrategy::RandomWalk { walkers: 1, ttl: 1 };
-    // Legacy sync: anti-entropy replication would hand every registry a
-    // replica of every advert, hiding the walk behaviour under test.
-    let base = RegistryConfig {
-        strategy: strategy.clone(),
-        sync_mode: SyncMode::Legacy,
-        ..Default::default()
-    };
+    // No replication: it would hand every registry a replica of every
+    // advert, hiding the walk behaviour under test.
+    let base =
+        RegistryConfig { strategy: strategy.clone(), sync_interval: 0, ..Default::default() };
     let r0 = w.registry(0, base.clone());
     for lan in 1..5 {
         w.registry(lan, RegistryConfig { seeds: vec![r0], ..base.clone() });

@@ -1,11 +1,11 @@
 //! Tests for the architecture's extension features: standing queries
-//! (subscribe/notify) and advert push replication between registries.
+//! (subscribe/notify) and registry-side composition planning.
 
 use std::sync::Arc;
 
 use sds_core::{
     ClientConfig, ClientNode, QueryOptions, RegistryConfig, RegistryNode, ServiceConfig,
-    ServiceNode, SyncMode,
+    ServiceNode,
 };
 use sds_protocol::{Description, DiscoveryMessage, QueryPayload};
 use sds_semantic::{ClassId, Ontology, ServiceProfile, ServiceRequest, SubsumptionIndex};
@@ -138,43 +138,6 @@ fn expired_subscription_is_purged_and_silent() {
 }
 
 #[test]
-fn advert_pull_replicates_on_demand() {
-    let mut topo = Topology::new();
-    let lan0 = topo.add_lan();
-    let lan1 = topo.add_lan();
-    let mut sim: Sim<DiscoveryMessage> = Sim::new(SimConfig::default(), topo, 8);
-    // r0 pulls; r1 never pushes. Legacy sync: the pull timer is the legacy
-    // replication plane and must do the work itself here.
-    let legacy = RegistryConfig { sync_mode: SyncMode::Legacy, ..Default::default() };
-    let r0 = sim.add_node(
-        lan0,
-        Box::new(RegistryNode::new(
-            RegistryConfig { advert_pull_interval: secs(5), ..legacy.clone() },
-            None,
-        )),
-    );
-    let _r1 = sim.add_node(
-        lan1,
-        Box::new(RegistryNode::new(RegistryConfig { seeds: vec![r0], ..legacy }, None)),
-    );
-    let _s = sim.add_node(
-        lan1,
-        Box::new(ServiceNode::new(
-            ServiceConfig::default(),
-            vec![Description::Uri("urn:svc:far".into())],
-            None,
-        )),
-    );
-    // After a pull round, r0 holds a replica it never received a publish for.
-    sim.run_until(secs(12));
-    assert_eq!(
-        sim.handler::<RegistryNode>(r0).unwrap().engine().store().len(),
-        1,
-        "pulled replica present at r0"
-    );
-}
-
-#[test]
 fn registry_plans_service_chains_end_to_end() {
     // Taxonomy for a two-step chain: radar (AOI → RadarRaw ⊑ Raw) then
     // fusion (Raw → Track).
@@ -257,59 +220,4 @@ fn composition_reports_not_found() {
     let client = sim.handler::<ClientNode>(c).unwrap();
     assert!(!client.compositions[0].found);
     assert!(client.compositions[0].chain.is_empty());
-}
-
-#[test]
-fn advert_push_replicates_across_federation() {
-    let mut topo = Topology::new();
-    let lan0 = topo.add_lan();
-    let lan1 = topo.add_lan();
-    let mut sim: Sim<DiscoveryMessage> = Sim::new(SimConfig::default(), topo, 4);
-    let push = RegistryConfig {
-        advert_push_interval: secs(5),
-        strategy: sds_core::ForwardStrategy::None, // replication instead of forwarding
-        sync_mode: SyncMode::Legacy,               // exercise the legacy push plane
-        ..Default::default()
-    };
-    let r0 = sim.add_node(lan0, Box::new(RegistryNode::new(push.clone(), None)));
-    let r1 = sim.add_node(
-        lan1,
-        Box::new(RegistryNode::new(RegistryConfig { seeds: vec![r0], ..push }, None)),
-    );
-    let _s = sim.add_node(
-        lan1,
-        Box::new(ServiceNode::new(
-            ServiceConfig::default(),
-            vec![Description::Uri("urn:svc:far".into())],
-            None,
-        )),
-    );
-    let c = sim.add_node(lan0, Box::new(ClientNode::new(ClientConfig::default())));
-    // Two push rounds.
-    sim.run_until(secs(12));
-    assert_eq!(
-        sim.handler::<RegistryNode>(r0).unwrap().engine().store().len(),
-        1,
-        "replica arrived at r0"
-    );
-
-    // With ForwardStrategy::None the query is answered purely from the local
-    // replica — no WAN query traffic at query time.
-    sim.reset_stats();
-    sim.with_node::<ClientNode>(c, |cl, ctx| {
-        cl.issue_query(ctx, QueryPayload::Uri("urn:svc:far".into()), QueryOptions::default());
-    });
-    sim.run_until(secs(18));
-    assert_eq!(sim.handler::<ClientNode>(c).unwrap().completed[0].hits.len(), 1);
-    assert_eq!(sim.stats().kind("query").messages, 1, "one local query, no forwarding");
-
-    // Replicas are leased: when the provider dies, its advert expires at the
-    // replica too (pushes stop refreshing it).
-    let provider = sim.handler::<RegistryNode>(r1).unwrap().engine().store().iter().next().unwrap().advert.provider;
-    sim.crash_node(provider);
-    sim.run_until(secs(80));
-    assert!(
-        sim.handler::<RegistryNode>(r0).unwrap().engine().store().is_empty(),
-        "replicated advert expired after the provider died"
-    );
 }

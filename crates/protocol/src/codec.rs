@@ -414,7 +414,6 @@ fn write_maintenance(w: &mut Writer, m: &MaintenanceOp) {
                 w.u8(m.wire_tag());
             }
         }
-        MaintenanceOp::AdvertPullRequest => w.u8(12),
         MaintenanceOp::ArtifactRequest { name } => {
             w.u8(10);
             w.str(name);
@@ -510,7 +509,6 @@ fn read_maintenance(r: &mut Reader<'_>) -> R<MaintenanceOp> {
             MaintenanceOp::SummaryAdvert { advert_count, models }
         }
         10 => MaintenanceOp::ArtifactRequest { name: r.str()? },
-        12 => MaintenanceOp::AdvertPullRequest,
         11 => MaintenanceOp::ArtifactResponse { name: r.str()?, found: r.bool()?, size: r.u32()? },
         13 => {
             let count = r.u32()?;
@@ -543,6 +541,8 @@ fn read_maintenance(r: &mut Reader<'_>) -> R<MaintenanceOp> {
             MaintenanceOp::SyncAck { missing }
         }
         16 => MaintenanceOp::Busy { retry_after_ms: r.u64()? },
+        // Tag 12 (the retired advert-pull request) stays reserved: it is
+        // rejected here like any unknown tag and must not be reassigned.
         t => return Err(DecodeError::InvalidTag { what: "maintenance op", tag: t }),
     })
 }
@@ -1073,10 +1073,14 @@ mod tests {
     fn rejects_unknown_tags() {
         let bytes = vec![PROTOCOL_VERSION, 9];
         assert!(matches!(decode(&bytes), Err(DecodeError::InvalidTag { what: "operation", .. })));
-        let bytes = vec![PROTOCOL_VERSION, 0, 200];
-        assert!(matches!(
-            decode(&bytes),
-            Err(DecodeError::InvalidTag { what: "maintenance op", .. })
-        ));
+        // 200 was never assigned; 12 is the retired advert-pull request,
+        // reserved and rejected the same way.
+        for tag in [200, 12] {
+            let bytes = vec![PROTOCOL_VERSION, 0, tag];
+            assert!(matches!(
+                decode(&bytes),
+                Err(DecodeError::InvalidTag { what: "maintenance op", tag: t }) if t == tag
+            ));
+        }
     }
 }

@@ -190,11 +190,6 @@ pub enum MaintenanceOp {
     FederationAck { peers: Vec<NodeId> },
     /// Summary information about the advertisements present in a registry.
     SummaryAdvert { advert_count: u32, models: Vec<ModelId> },
-    /// Pull-based cooperation: ask a peer registry for its locally
-    /// published advertisements (the counterpart of pushing
-    /// `ForwardAdverts` — the paper's "push or pull advertisements between
-    /// registries" design choice).
-    AdvertPullRequest,
     /// Fetch a hosted artifact (ontology, schema…) by name, latest version.
     ArtifactRequest { name: String },
     /// Artifact fetch result; `size` models the artifact body length.
@@ -258,8 +253,9 @@ pub enum PublishOp {
     Remove { id: AdvertId },
     /// Republish with updated content (e.g. changed coverage area).
     Update { advert: Advertisement, lease_ms: u64 },
-    /// Push advertisements to a peer registry (replication-style
-    /// cooperation strategy).
+    /// Push advertisements to a replica: the full-copy replication of the
+    /// clustered-registry baseline. Federated registries replicate by
+    /// `SyncDigest`/`SyncDelta` instead and ignore this op.
     ForwardAdverts { adverts: Vec<Advertisement> },
 }
 
@@ -345,7 +341,6 @@ impl DiscoveryMessage {
                 MaintenanceOp::FederationJoin { .. } => "fed-join",
                 MaintenanceOp::FederationAck { .. } => "fed-ack",
                 MaintenanceOp::SummaryAdvert { .. } => "summary",
-                MaintenanceOp::AdvertPullRequest => "advert-pull",
                 MaintenanceOp::ArtifactRequest { .. } => "artifact-req",
                 MaintenanceOp::ArtifactResponse { .. } => "artifact-resp",
                 MaintenanceOp::SyncDigest { .. } => "sync-digest",

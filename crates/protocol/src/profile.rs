@@ -45,7 +45,6 @@ pub fn minimum_profile(msg: &DiscoveryMessage) -> ProtocolProfile {
             MaintenanceOp::FederationJoin { .. }
             | MaintenanceOp::FederationAck { .. }
             | MaintenanceOp::SummaryAdvert { .. }
-            | MaintenanceOp::AdvertPullRequest
             | MaintenanceOp::SyncDigest { .. }
             | MaintenanceOp::SyncDelta { .. }
             | MaintenanceOp::SyncAck { .. } => ProtocolProfile::Registry,
@@ -148,7 +147,7 @@ mod tests {
     fn registry_handles_everything() {
         // Spot-check one message of each category.
         let msgs = [
-            DiscoveryMessage::maintenance(MaintenanceOp::AdvertPullRequest),
+            DiscoveryMessage::maintenance(MaintenanceOp::SyncAck { missing: vec![] }),
             DiscoveryMessage::publishing(PublishOp::RenewLease { id: Uuid(2) }),
             DiscoveryMessage::querying(QueryOp::Unsubscribe {
                 id: QueryId { origin: NodeId(1), seq: 9 },

@@ -128,7 +128,6 @@ impl WireSize for MaintenanceOp {
             }
             MaintenanceOp::FederationAck { peers } => 40 + ENDPOINT_REF * peers.len() as u32,
             MaintenanceOp::SummaryAdvert { models, .. } => 48 + 8 * models.len() as u32,
-            MaintenanceOp::AdvertPullRequest => 32,
             MaintenanceOp::ArtifactRequest { name } => 40 + name.len() as u32,
             MaintenanceOp::ArtifactResponse { name, found, size } => {
                 48 + name.len() as u32 + if *found { *size } else { 0 }

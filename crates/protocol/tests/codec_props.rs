@@ -149,7 +149,7 @@ fn arb_maintenance(rng: &mut Rng) -> MaintenanceOp {
             advert_count: rng.next_u32(),
             models: gen::vec_of(rng, 0, 3, arb_model_id),
         },
-        10 => MaintenanceOp::AdvertPullRequest,
+        10 => MaintenanceOp::Busy { retry_after_ms: rng.next_u64() },
         11 => MaintenanceOp::ArtifactRequest { name: gen::ident(rng, 0, 12) },
         12 => MaintenanceOp::ArtifactResponse {
             name: gen::ident(rng, 0, 12),

@@ -1,13 +1,9 @@
-//! The registry engine: store + evaluators + response control + artifacts.
+//! The engine's shard-independent pieces: the total ranking order, bounded
+//! top-k selection over borrowed adverts, and the registry summary. The
+//! engine itself is [`crate::ShardedEngine`]; the unit tests below run it at
+//! one shard, which *is* the unsharded registry.
 
-use std::collections::HashMap;
-
-use sds_protocol::{Advertisement, AdvertId, ModelId, QueryMessage, QueryPayload, ResponseHit};
-use sds_semantic::{Artifact, ArtifactRepository};
-use sds_simnet::{NodeId, SimTime};
-
-use crate::evaluate::ModelEvaluator;
-use crate::store::{LeasePolicy, PublishOutcome, RegistryStore};
+use sds_protocol::{AdvertId, ModelId, ResponseHit};
 
 /// Summary information a registry shares with peers ("send out summary
 /// information about the advertisements present in a registry").
@@ -18,223 +14,11 @@ pub struct RegistrySummary {
     pub models: Vec<ModelId>,
 }
 
-/// One registry's complete local state and query-evaluation logic, with no
-/// networking: `sds-core` drives it from a node handler, baselines from
-/// their own policies.
-pub struct RegistryEngine {
-    store: RegistryStore,
-    lease_policy: LeasePolicy,
-    evaluators: HashMap<ModelId, Box<dyn ModelEvaluator>>,
-    artifacts: ArtifactRepository,
-}
-
-impl RegistryEngine {
-    pub fn new(lease_policy: LeasePolicy) -> Self {
-        Self {
-            store: RegistryStore::new(),
-            lease_policy,
-            evaluators: HashMap::new(),
-            artifacts: ArtifactRepository::new(),
-        }
-    }
-
-    /// Registers an evaluator plug-in; replaces any previous evaluator for
-    /// the same model.
-    pub fn register_evaluator(&mut self, evaluator: Box<dyn ModelEvaluator>) {
-        self.evaluators.insert(evaluator.model(), evaluator);
-    }
-
-    /// Whether this registry can evaluate the given model.
-    pub fn supports(&self, model: ModelId) -> bool {
-        self.evaluators.contains_key(&model)
-    }
-
-    pub fn lease_policy(&self) -> LeasePolicy {
-        self.lease_policy
-    }
-
-    pub fn store(&self) -> &RegistryStore {
-        &self.store
-    }
-
-    pub fn store_mut(&mut self) -> &mut RegistryStore {
-        &mut self.store
-    }
-
-    pub fn artifacts(&self) -> &ArtifactRepository {
-        &self.artifacts
-    }
-
-    /// Hosts an artifact for in-band distribution.
-    pub fn host_artifact(&mut self, artifact: Artifact) {
-        self.artifacts.put(artifact);
-    }
-
-    /// Handles a publish/update: grants a lease per policy and stores the
-    /// advert. Returns the outcome and the granted expiry.
-    pub fn publish(
-        &mut self,
-        advert: Advertisement,
-        source: NodeId,
-        now: SimTime,
-        requested_lease_ms: u64,
-    ) -> (PublishOutcome, SimTime) {
-        let lease_until = self.lease_policy.grant(now, requested_lease_ms);
-        let outcome = self.store.publish(advert, source, now, lease_until, requested_lease_ms);
-        (outcome, lease_until)
-    }
-
-    /// Handles a lease renewal, re-granting the originally requested
-    /// duration. Returns `(known, new_expiry)`.
-    pub fn renew(&mut self, id: AdvertId, now: SimTime) -> (bool, SimTime) {
-        let requested = self.store.get(&id).map_or(0, |a| a.requested_lease_ms);
-        let lease_until = self.lease_policy.grant(now, requested);
-        (self.store.renew(id, lease_until), lease_until)
-    }
-
-    /// Handles explicit removal.
-    pub fn remove(&mut self, id: AdvertId) -> bool {
-        self.store.remove(id)
-    }
-
-    /// Purges expired adverts; returns purged ids.
-    pub fn purge(&mut self, now: SimTime) -> Vec<AdvertId> {
-        self.store.purge_expired(now)
-    }
-
-    /// Evaluates a query against the live adverts: dispatches on the
-    /// payload's model (silently returning nothing for unsupported models),
-    /// ranks hits best-first, and truncates to the query's `max_responses` —
-    /// the query response control the paper requires of registries.
-    ///
-    /// Sublinear path: the store's secondary indexes produce a candidate set
-    /// (a sound over-approximation — see [`RegistryStore::candidates`]), the
-    /// evaluator confirms each candidate over *borrowed* adverts, and only
-    /// the final top-k hits are cloned. The ranking order `(degree desc,
-    /// distance asc, id asc)` is total over unique advert ids, so the result
-    /// is identical to [`RegistryEngine::naive_evaluate`] regardless of
-    /// candidate enumeration order.
-    pub fn evaluate(&self, query: &QueryMessage, now: SimTime) -> Vec<ResponseHit> {
-        let Some(evaluator) = self.evaluators.get(&query.payload.model()) else {
-            return Vec::new(); // "silently discard messages they cannot understand"
-        };
-        let candidates = self.store.candidates(&query.payload, evaluator.subsumption_index());
-        let confirmed = candidates.iter().filter_map(|id| {
-            let stored = self.store.get(&id)?;
-            if !stored.is_live(now) {
-                return None;
-            }
-            evaluator
-                .evaluate(&query.payload, &stored.advert)
-                .map(|(degree, distance)| RankedRef { degree, distance, stored })
-        });
-        select_ranked(confirmed, query.max_responses)
-            .into_iter()
-            .map(RankedRef::into_hit)
-            .collect()
-    }
-
-    /// The pre-index full-scan evaluation, kept verbatim as the reference
-    /// implementation for equivalence properties and the `q1_query_scaling`
-    /// comparison bench. Not part of the public API surface.
-    #[doc(hidden)]
-    pub fn naive_evaluate(&self, query: &QueryMessage, now: SimTime) -> Vec<ResponseHit> {
-        let Some(evaluator) = self.evaluators.get(&query.payload.model()) else {
-            return Vec::new();
-        };
-        let mut hits: Vec<ResponseHit> = self
-            .store
-            .live(now)
-            .filter_map(|stored| {
-                evaluator
-                    .evaluate(&query.payload, &stored.advert)
-                    .map(|(degree, distance)| ResponseHit {
-                        advert: stored.advert.clone(),
-                        degree,
-                        distance,
-                    })
-            })
-            .collect();
-        rank_hits(&mut hits);
-        if let Some(k) = query.max_responses {
-            hits.truncate(k as usize);
-        }
-        hits
-    }
-
-    /// Plans a service chain (paper §4.3 composition support) over the live
-    /// *semantic* advertisements. Returns the chain's advertisements in
-    /// execution order, or `None` when no chain exists or the semantic
-    /// model is unsupported.
-    pub fn compose(
-        &self,
-        request: &sds_semantic::ServiceRequest,
-        now: SimTime,
-        max_depth: usize,
-    ) -> Option<Vec<Advertisement>> {
-        let evaluator = self.evaluators.get(&ModelId::Semantic)?;
-        let index = evaluator.subsumption_index()?;
-        let live: Vec<&Advertisement> = self
-            .store
-            .live(now)
-            .map(|s| &s.advert)
-            .filter(|a| matches!(a.description, sds_protocol::Description::Semantic(_)))
-            .collect();
-        let profiles: Vec<sds_semantic::ServiceProfile> = live
-            .iter()
-            .map(|a| match &a.description {
-                sds_protocol::Description::Semantic(p) => p.clone(),
-                _ => unreachable!("filtered above"),
-            })
-            .collect();
-        let plan = sds_semantic::compose(index, request, &profiles, max_depth)?;
-        Some(plan.steps.iter().map(|&i| live[i].clone()).collect())
-    }
-
-    /// Evaluates a single payload against a single advertisement — used for
-    /// subscription matching on publish. `None` for unsupported models and
-    /// non-matches alike.
-    pub fn evaluate_single(
-        &self,
-        payload: &QueryPayload,
-        advert: &Advertisement,
-    ) -> Option<(sds_semantic::Degree, u32)> {
-        self.evaluators.get(&payload.model())?.evaluate(payload, advert)
-    }
-
-    /// Current summary for registry signaling. Models come out ascending by
-    /// wire tag by construction; when nothing is expired-but-unpurged the
-    /// model buckets answer directly without scanning the table. `&mut`
-    /// because deciding "nothing expired" pops stale expiry-heap entries —
-    /// without that, every renewal would knock the summary onto full scans
-    /// until the superseded expiry passed.
-    pub fn summary(&mut self, now: SimTime) -> RegistrySummary {
-        let counts: [usize; 3] = if self.store.none_expired(now) {
-            self.store.model_counts()
-        } else {
-            let mut counts = [0usize; 3];
-            for a in self.store.live(now) {
-                counts[a.advert.description.model().wire_tag() as usize] += 1;
-            }
-            counts
-        };
-        let models: Vec<ModelId> = ModelId::ALL
-            .into_iter()
-            .filter(|m| counts[m.wire_tag() as usize] > 0)
-            .collect();
-        RegistrySummary {
-            advert_count: counts.iter().sum::<usize>() as u32,
-            models,
-        }
-    }
-}
-
 /// A confirmed hit over a borrowed advert, ordered best-first: degree desc,
 /// distance asc, advert id asc — the same total order as [`rank_hits`], so
 /// "greatest" means "worst" and a max-heap of size k retains the top k.
-/// Crate-visible so the sharded data plane shares the exact selection logic
-/// (the total order over unique advert ids is what makes sharded evaluation
-/// byte-identical to this engine's, whatever order shards enumerate in).
+/// The order is total over unique advert ids, which is what makes a ranked
+/// result independent of the order shards (or worker threads) enumerate in.
 pub(crate) struct RankedRef<'a> {
     pub(crate) degree: sds_semantic::Degree,
     pub(crate) distance: u32,
@@ -327,11 +111,13 @@ pub fn rank_hits(hits: &mut [ResponseHit]) {
 mod tests {
     use super::*;
     use crate::evaluate::{SemanticEvaluator, TemplateEvaluator, UriEvaluator};
-    use sds_protocol::{Description, QueryId, QueryPayload, Uuid};
+    use crate::{LeasePolicy, PublishOutcome, ShardedEngine};
+    use sds_protocol::{Advertisement, Description, QueryId, QueryMessage, QueryPayload, Uuid};
     use sds_semantic::{
-        ArtifactId, ArtifactKind, Degree, Ontology, ServiceProfile, ServiceRequest,
+        Artifact, ArtifactId, ArtifactKind, Degree, Ontology, ServiceProfile, ServiceRequest,
         SubsumptionIndex,
     };
+    use sds_simnet::NodeId;
     use std::sync::Arc;
 
     fn uri_advert(id: u128, uri: &str) -> Advertisement {
@@ -353,8 +139,8 @@ mod tests {
         }
     }
 
-    fn engine_with_uri() -> RegistryEngine {
-        let mut e = RegistryEngine::new(LeasePolicy::default());
+    fn engine_with_uri() -> ShardedEngine {
+        let mut e = ShardedEngine::new(LeasePolicy::default(), 1, None);
         e.register_evaluator(Box::new(UriEvaluator));
         e
     }
@@ -391,7 +177,7 @@ mod tests {
         let svc = o.class("Svc", &[thing]);
         let idx = Arc::new(SubsumptionIndex::build(&o));
 
-        let mut e = RegistryEngine::new(LeasePolicy::default());
+        let mut e = ShardedEngine::new(LeasePolicy::default(), 1, Some(&idx));
         e.register_evaluator(Box::new(SemanticEvaluator::new(idx)));
         for (i, out) in [air, track, air, track].iter().enumerate() {
             let advert = Advertisement {
@@ -446,13 +232,12 @@ mod tests {
         let (known, lease) = e.renew(Uuid(1), 500);
         assert!(known);
         assert_eq!(lease, 1_500);
-        // Between the old expiry (1 000) and the new one (1 500) the store
-        // must report none-expired, which is exactly the fast-path gate.
-        assert!(e.store_mut().none_expired(1_200), "fast path regained after renewal");
+        // Between the old expiry (1 000) and the new one (1 500) the summary
+        // answers from the maintained counts; the gate itself is pinned by
+        // the store's `none_expired_skips_stale_entries_after_renewal`.
         let s = e.summary(1_200);
         assert_eq!(s, RegistrySummary { advert_count: 1, models: vec![ModelId::Uri] });
-        assert!(!e.store_mut().none_expired(1_500), "renewed expiry still honoured");
-        assert_eq!(e.summary(1_500).advert_count, 0);
+        assert_eq!(e.summary(1_500).advert_count, 0, "renewed expiry still honoured");
     }
 
     #[test]
@@ -465,6 +250,39 @@ mod tests {
         });
         assert_eq!(e.artifacts().get_latest("nato-sensors").unwrap().body.len(), 2_048);
         assert!(e.artifacts().get_latest("missing").is_none());
+    }
+
+    #[test]
+    fn compose_chain_is_a_function_of_content_not_hash_order() {
+        // Regression: `compose` handed the planner the live adverts in hash
+        // map iteration order, and the planner takes the *first* producer of
+        // a needed concept — identical stores answered with different
+        // providers from one process to the next (and one store to the next:
+        // every `HashMap` draws its own `RandomState`).
+        let mut o = Ontology::new();
+        let thing = o.class("Thing", &[]);
+        let track = o.class("Track", &[thing]);
+        let svc = o.class("Svc", &[thing]);
+        let idx = Arc::new(SubsumptionIndex::build(&o));
+        let request = ServiceRequest::default().with_outputs(&[track]);
+        for store in 0..32 {
+            let mut e = ShardedEngine::new(LeasePolicy::default(), 1, Some(&idx));
+            e.register_evaluator(Box::new(SemanticEvaluator::new(idx.clone())));
+            for i in 1..=16u128 {
+                let advert = Advertisement {
+                    id: Uuid(i),
+                    provider: NodeId(i as u32),
+                    description: Description::Semantic(
+                        ServiceProfile::new(format!("s{i}"), svc).with_outputs(&[track]),
+                    ),
+                    version: 1,
+                };
+                e.publish(advert, NodeId(i as u32), 0, 60_000);
+            }
+            let chain = e.compose(&request, 1_000, 4).expect("every advert produces a Track");
+            let ids: Vec<u128> = chain.iter().map(|a| a.id.0).collect();
+            assert_eq!(ids, vec![1], "store {store}: the lowest advert id provides");
+        }
     }
 
     #[test]

@@ -16,18 +16,18 @@
 //!   devices using only a lightweight URI-matching service discovery can use
 //!   the same service discovery infrastructure as the more heavyweight ones
 //!   based on semantic service descriptions";
-//! * [`RegistryEngine`]: evaluation + ranking + query response control +
-//!   summaries + artifact hosting, glued together;
+//! * [`ShardedEngine`]: the registry engine — evaluation + ranking + query
+//!   response control + summaries + artifact hosting, glued together over
+//!   per-partition worker shards ([`ShardRouter`] partitions the advert
+//!   space by taxonomy component, plus exact-match hashing for URI/template
+//!   models; one shard is the unsharded registry), with batched, coalesced
+//!   query evaluation optionally fanned across scoped worker threads
+//!   ([`pool`], `set_workers`) under a deterministic merge — observably
+//!   identical at every shard and worker count;
+//! * [`QueryCache`]: memoizes ranked results at the registry edge with
+//!   lease-driven invalidation;
 //! * [`SeenQueries`]: the query-id cache used for loop avoidance when
-//!   registries forward queries;
-//! * the sharded data plane: [`ShardRouter`] partitions the advert space by
-//!   taxonomy component (plus exact-match hashing for URI/template models),
-//!   [`ShardedEngine`] runs one logical registry over per-partition worker
-//!   shards with batched, coalesced query evaluation — optionally fanned
-//!   across scoped worker threads ([`pool`], `set_workers`) with a
-//!   deterministic merge — and [`QueryCache`] memoizes ranked results at
-//!   the registry edge with lease-driven invalidation — all observably
-//!   equivalent to the unsharded engine at every shard and worker count.
+//!   registries forward queries.
 //!
 //! The network-facing behaviour (timers, beacons, federation) lives in
 //! `sds-core`; baselines reuse these internals with different policies.
@@ -44,7 +44,7 @@ mod subscriptions;
 pub mod sync;
 
 pub use cache::{cache_key, CacheKey, CacheStats, QueryCache};
-pub use engine::{rank_hits, RegistryEngine, RegistrySummary};
+pub use engine::{rank_hits, RegistrySummary};
 pub use evaluate::{ModelEvaluator, SemanticEvaluator, TemplateEvaluator, UriEvaluator};
 pub use seen::SeenQueries;
 pub use shard::{Route, SemanticPartitions, ShardRouter, MAX_SHARDS};

@@ -28,10 +28,6 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// The environment variable test harnesses use to pin the registry
-/// data-plane worker count (see [`env_workers`]).
-pub const WORKERS_ENV: &str = "SDS_REGISTRY_WORKERS";
-
 /// Applies `f` to every index in `0..n`, fanning across up to `workers`
 /// threads, and returns the results in index order.
 pub fn map_indexed<T, F>(workers: usize, n: usize, f: F) -> Vec<T>
@@ -71,10 +67,10 @@ where
 }
 
 /// Validates a worker-count override: a positive integer (surrounding
-/// whitespace tolerated). Split from [`env_workers`] so the rejection rules
-/// are unit-testable without mutating process environment. Shared with
-/// `sds_bench::parallel`'s `SDS_BENCH_THREADS` parsing — one set of rules
-/// for every thread-count knob in the workspace.
+/// whitespace tolerated). A typo'd override must not fall back silently, so
+/// callers treat `Err` as fatal. The rules behind `sds_bench::parallel`'s
+/// `SDS_BENCH_THREADS`, split out so they are unit-testable without
+/// mutating process environment.
 pub fn parse_workers(raw: &str) -> Result<usize, String> {
     let trimmed = raw.trim();
     if trimmed.is_empty() {
@@ -84,27 +80,6 @@ pub fn parse_workers(raw: &str) -> Result<usize, String> {
         Ok(0) => Err("worker count must be at least 1".into()),
         Ok(n) => Ok(n),
         Err(e) => Err(format!("not a worker count ({e})")),
-    }
-}
-
-/// The `SDS_REGISTRY_WORKERS` override, if set: test harnesses use it to
-/// sweep the shard-property suite across worker counts (see `scripts/ci.sh`).
-/// `None` means unset — callers fall back to their configured count.
-///
-/// # Panics
-///
-/// When `SDS_REGISTRY_WORKERS` is set to anything other than a positive
-/// integer. A typo'd override must not fall back silently: a suite that
-/// believes it is sweeping worker counts while actually running sequentially
-/// proves nothing, so garbage is a hard error (same rule as
-/// `SDS_BENCH_THREADS`).
-pub fn env_workers() -> Option<usize> {
-    match std::env::var(WORKERS_ENV) {
-        Ok(raw) => match parse_workers(&raw) {
-            Ok(n) => Some(n),
-            Err(why) => panic!("invalid {WORKERS_ENV}={raw:?}: {why}"),
-        },
-        Err(_) => None,
     }
 }
 

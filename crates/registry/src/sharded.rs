@@ -1,14 +1,18 @@
-//! The sharded registry data plane: one logical registry engine whose advert
-//! table is split across worker shards by [`ShardRouter`] partition, so each
-//! query is evaluated against one shard's postings in the common case.
+//! The registry engine: store + evaluators + response control + artifacts,
+//! with no networking — `sds-core` drives it from a node handler, baselines
+//! from their own policies. Its advert table is split across worker shards
+//! by [`ShardRouter`] partition, so each query is evaluated against one
+//! shard's postings in the common case; `shard_count = 1` is the unsharded
+//! registry.
 //!
 //! Observable equivalence is the design invariant: every public operation
-//! returns exactly what [`RegistryEngine`] would — same outcomes, same
-//! granted leases, same ranked hit bytes, same summaries — which the
-//! `shard_props` property suite locks across shard counts. The ranking order
-//! `(degree desc, distance asc, id asc)` is total over unique advert ids, so
-//! merging per-shard confirmed hits through the shared top-k selection
-//! reproduces the unsharded result whatever order shards enumerate in.
+//! returns the same outcomes, granted leases, ranked hit bytes and summaries
+//! at every shard count, and the hits of a linear scan over the live adverts
+//! ([`ShardedEngine::naive_evaluate`]) — which the `shard_props` property
+//! suite locks. The ranking order `(degree desc, distance asc, id asc)` is
+//! total over unique advert ids, so merging per-shard confirmed hits through
+//! the shared top-k selection reproduces the one-shard result whatever order
+//! shards enumerate in.
 //!
 //! Multi-homing: a semantic advert whose category and outputs fall in
 //! different taxonomy components is stored in every one of those shards (its
@@ -31,7 +35,7 @@ use sds_protocol::{Advertisement, AdvertId, ModelId, QueryMessage, QueryPayload,
 use sds_semantic::{Artifact, ArtifactRepository, ClassId, SubsumptionIndex};
 use sds_simnet::{NodeId, SimTime};
 
-use crate::engine::{select_ranked, RankedRef, RegistrySummary};
+use crate::engine::{rank_hits, select_ranked, RankedRef, RegistrySummary};
 use crate::evaluate::ModelEvaluator;
 use crate::pool;
 use crate::shard::{Route, ShardRouter};
@@ -83,9 +87,10 @@ impl BatchResult {
     }
 }
 
-/// A registry engine running the sharded data plane. Drop-in for
-/// [`RegistryEngine`]: the public surface mirrors it method for method, with
-/// batch and validity-tracking variants layered on top.
+/// One registry's complete local state and query-evaluation logic:
+/// publish/renew/remove/purge with leases, ranked evaluation with response
+/// control (plus batch and validity-tracking variants), composition,
+/// summaries and artifact hosting.
 pub struct ShardedEngine {
     router: ShardRouter,
     shards: Vec<RegistryStore>,
@@ -164,8 +169,8 @@ impl ShardedEngine {
         self.artifacts.put(artifact);
     }
 
-    /// A read view over the sharded advert table with the same surface as
-    /// [`RegistryEngine::store`] exposes: multi-homed adverts appear once.
+    /// A read view over the sharded advert table: multi-homed adverts
+    /// appear once.
     pub fn store(&self) -> StoreView<'_> {
         StoreView { shards: &self.shards, homes: &self.homes }
     }
@@ -182,8 +187,9 @@ impl ShardedEngine {
 
     /// Handles a publish/update; grants a lease per policy, fans the write
     /// out to the advert's home shards, and keeps lease state identical
-    /// across them. Outcome and granted expiry match [`RegistryEngine`]
-    /// exactly, including the stale-heartbeat and requested-duration rules.
+    /// across them. Outcome and granted expiry are those of a single
+    /// [`RegistryStore`], including its stale-heartbeat and
+    /// requested-duration rules.
     pub fn publish(
         &mut self,
         advert: Advertisement,
@@ -219,8 +225,8 @@ impl ShardedEngine {
         // A content change can move the advert between shards. Shards kept in
         // the mask update in place; shards leaving drop it; shards joining
         // insert it fresh — carrying over the *effective* lease and requested
-        // duration so every home shard stores the same record the unsharded
-        // engine would.
+        // duration so every home shard stores the same record a single
+        // store would.
         let effective_lease = existing.lease_until.max(lease_until);
         let keep_requested =
             if newer { requested_lease_ms } else { existing.requested_lease_ms };
@@ -275,7 +281,7 @@ impl ShardedEngine {
     }
 
     /// Purges expired adverts from every shard; returns purged ids in the
-    /// same global `(lease_until, id)` order the unsharded store produces.
+    /// same global `(lease_until, id)` order a single store produces.
     /// Leases are identical across a mask, so an advert expires from all its
     /// home shards in the same purge.
     pub fn purge(&mut self, now: SimTime) -> Vec<AdvertId> {
@@ -294,9 +300,19 @@ impl ShardedEngine {
         out
     }
 
-    /// Evaluates a query: routed to one shard when the payload pins a
-    /// partition, merged across shards (first-home deduplicated) otherwise.
-    /// Byte-identical to [`RegistryEngine::evaluate`] on the same adverts.
+    /// Evaluates a query against the live adverts: dispatches on the
+    /// payload's model (silently returning nothing for unsupported models),
+    /// ranks hits best-first, and truncates to the query's `max_responses` —
+    /// the query response control the paper requires of registries. Routed
+    /// to one shard when the payload pins a partition, merged across shards
+    /// (first-home deduplicated) otherwise.
+    ///
+    /// Sublinear path: the store's secondary indexes produce a candidate set
+    /// (a sound over-approximation — see [`RegistryStore::candidates`]), the
+    /// evaluator confirms each candidate over *borrowed* adverts, and only
+    /// the final top-k hits are cloned. The result is identical to
+    /// [`ShardedEngine::naive_evaluate`] regardless of candidate enumeration
+    /// order.
     pub fn evaluate(&self, query: &QueryMessage, now: SimTime) -> Vec<ResponseHit> {
         self.evaluate_with_validity(query, now).0
     }
@@ -313,91 +329,103 @@ impl ShardedEngine {
         query: &QueryMessage,
         now: SimTime,
     ) -> (Vec<ResponseHit>, SimTime) {
-        let Some(evaluator) = self.evaluators.get(&query.payload.model()) else {
-            return (Vec::new(), SimTime::MAX);
+        let Some(evaluator) = self.evaluators.get(&query.payload.model()).map(Box::as_ref) else {
+            return (Vec::new(), SimTime::MAX); // "silently discard messages they cannot understand"
         };
         let ranked = match self.router.route(&query.payload) {
-            Route::One(s) => {
-                self.confirm_in_shard(s, evaluator.as_ref(), &query.payload, now, query.max_responses)
+            Route::One(s) => self.scan_shard(s, evaluator, query, now, false),
+            // Sound because the ranking order is total over unique advert
+            // ids: a shard's top-k retains every advert that could appear in
+            // the global top-k, so merging per-shard selections through the
+            // same `select_ranked` equals selecting over the raw
+            // concatenation — whatever order (or thread) the shards scanned
+            // in.
+            Route::Broadcast => {
+                let per_shard = pool::map_indexed(self.workers, self.shards.len(), |si| {
+                    self.scan_shard(si, evaluator, query, now, true)
+                });
+                select_ranked(per_shard.into_iter().flatten(), query.max_responses)
             }
-            Route::Broadcast => self.confirm_broadcast(evaluator.as_ref(), &query.payload, now, query.max_responses),
         };
         let valid_until =
             ranked.iter().map(|h| h.stored.lease_until).min().unwrap_or(SimTime::MAX);
         (ranked.into_iter().map(RankedRef::into_hit).collect(), valid_until)
     }
 
-    fn confirm_in_shard<'a>(
+    /// Confirms candidate `ids` of one shard — present, live at `now`,
+    /// matched by the evaluator — and selects the shard's bounded top
+    /// `max_responses`. With `first_home_only`, a multi-homed advert answers
+    /// from its first home shard only (broadcast deduplication). Generic
+    /// over the id source so the routed path streams the store's
+    /// [`crate::Candidates`] without materializing them.
+    fn confirm<'a>(
         &'a self,
         shard: usize,
-        evaluator: &'a dyn ModelEvaluator,
-        payload: &QueryPayload,
+        evaluator: &dyn ModelEvaluator,
+        query: &QueryMessage,
         now: SimTime,
-        max: Option<u16>,
+        ids: impl Iterator<Item = AdvertId>,
+        first_home_only: bool,
     ) -> Vec<RankedRef<'a>> {
         let store = &self.shards[shard];
-        let candidates = store.candidates(payload, evaluator.subsumption_index());
-        let confirmed = candidates.iter().filter_map(move |id| {
+        let confirmed = ids.filter_map(|id| {
+            if first_home_only && Self::first_shard(self.homes.get(&id)?.mask) != shard {
+                return None;
+            }
             let stored = store.get(&id)?;
             if !stored.is_live(now) {
                 return None;
             }
             evaluator
-                .evaluate(payload, &stored.advert)
+                .evaluate(&query.payload, &stored.advert)
                 .map(|(degree, distance)| RankedRef { degree, distance, stored })
         });
-        select_ranked(confirmed, max)
+        select_ranked(confirmed, query.max_responses)
     }
 
-    /// Scans one shard for `payload`'s confirmed live hits (first-home
-    /// deduplicated) and selects that shard's bounded top `max`. The
-    /// per-shard unit of work the broadcast path fans across workers.
+    /// [`Self::confirm`] over the shard's own candidate index: the per-shard
+    /// unit of work, on the calling thread for a routed query and fanned
+    /// across workers for a broadcast.
     fn scan_shard<'a>(
         &'a self,
-        si: usize,
+        shard: usize,
         evaluator: &dyn ModelEvaluator,
-        payload: &QueryPayload,
+        query: &QueryMessage,
         now: SimTime,
-        max: Option<u16>,
+        first_home_only: bool,
     ) -> Vec<RankedRef<'a>> {
-        let store = &self.shards[si];
-        let candidates = store.candidates(payload, evaluator.subsumption_index());
-        // Materialize: `Candidates` borrows the store for the closure's
-        // lifetime, and each id is a copy anyway.
-        let ids: Vec<AdvertId> = candidates.iter().collect();
-        let confirmed = ids.into_iter().filter_map(move |id| {
-            // Multi-homed adverts answer from their first home only.
-            if Self::first_shard(self.homes.get(&id)?.mask) != si {
-                return None;
-            }
-            let stored = store.get(&id)?;
-            if !stored.is_live(now) {
-                return None;
-            }
-            evaluator
-                .evaluate(payload, &stored.advert)
-                .map(|(degree, distance)| RankedRef { degree, distance, stored })
-        });
-        select_ranked(confirmed, max)
+        let candidates =
+            self.shards[shard].candidates(&query.payload, evaluator.subsumption_index());
+        self.confirm(shard, evaluator, query, now, candidates.iter(), first_home_only)
     }
 
-    /// Merges every shard's scan into one global top-k. Sound because the
-    /// ranking order `(degree desc, distance asc, id asc)` is total over
-    /// unique advert ids: a shard's top-k retains every advert that could
-    /// appear in the global top-k, so merging per-shard selections through
-    /// the same `select_ranked` equals selecting over the raw concatenation
-    /// — whatever order (or thread) the shards scanned in.
-    fn confirm_broadcast<'a>(
-        &'a self,
-        evaluator: &'a dyn ModelEvaluator,
-        payload: &'a QueryPayload,
-        now: SimTime,
-        max: Option<u16>,
-    ) -> Vec<RankedRef<'a>> {
-        let per_shard = pool::map_indexed(self.workers, self.shards.len(), |si| {
-            self.scan_shard(si, evaluator, payload, now, max)
-        });
-        select_ranked(per_shard.into_iter().flatten(), max)
+    /// The linear-scan reference implementation: every live advert through
+    /// the evaluator, ranked, truncated — no index, no routing, no top-k
+    /// heap. Kept for the equivalence properties and the `q1_query_scaling`
+    /// comparison bench; not part of the public API surface.
+    #[doc(hidden)]
+    pub fn naive_evaluate(&self, query: &QueryMessage, now: SimTime) -> Vec<ResponseHit> {
+        let Some(evaluator) = self.evaluators.get(&query.payload.model()) else {
+            return Vec::new();
+        };
+        let mut hits: Vec<ResponseHit> = self
+            .store()
+            .live(now)
+            .filter_map(|stored| {
+                evaluator
+                    .evaluate(&query.payload, &stored.advert)
+                    .map(|(degree, distance)| ResponseHit {
+                        advert: stored.advert.clone(),
+                        degree,
+                        distance,
+                    })
+            })
+            .collect();
+        rank_hits(&mut hits);
+        if let Some(k) = query.max_responses {
+            hits.truncate(k as usize);
+        }
+        hits
     }
 
     /// Evaluates a queue of outstanding queries as one batch: identical
@@ -472,7 +500,7 @@ impl ShardedEngine {
         now: SimTime,
         memo: &mut HashMap<(bool, ClassId), Vec<AdvertId>>,
     ) -> Vec<ResponseHit> {
-        let Some(evaluator) = self.evaluators.get(&query.payload.model()) else {
+        let Some(evaluator) = self.evaluators.get(&query.payload.model()).map(Box::as_ref) else {
             return Vec::new();
         };
         let concept_key = match &query.payload {
@@ -483,34 +511,28 @@ impl ShardedEngine {
             },
             _ => None,
         };
-        let Some(key) = concept_key else {
-            return self
-                .confirm_in_shard(shard, evaluator.as_ref(), &query.payload, now, query.max_responses)
-                .into_iter()
-                .map(RankedRef::into_hit)
-                .collect();
-        };
-        let store = &self.shards[shard];
-        let ids = memo.entry(key).or_insert_with(|| {
-            store.candidates(&query.payload, evaluator.subsumption_index()).iter().collect()
-        });
-        let confirmed = ids.iter().filter_map(|id| {
-            let stored = store.get(id)?;
-            if !stored.is_live(now) {
-                return None;
+        let ranked = match concept_key {
+            Some(key) => {
+                let ids = memo.entry(key).or_insert_with(|| {
+                    self.shards[shard]
+                        .candidates(&query.payload, evaluator.subsumption_index())
+                        .iter()
+                        .collect()
+                });
+                self.confirm(shard, evaluator, query, now, ids.iter().copied(), false)
             }
-            evaluator
-                .evaluate(&query.payload, &stored.advert)
-                .map(|(degree, distance)| RankedRef { degree, distance, stored })
-        });
-        select_ranked(confirmed, query.max_responses)
-            .into_iter()
-            .map(RankedRef::into_hit)
-            .collect()
+            None => self.scan_shard(shard, evaluator, query, now, false),
+        };
+        ranked.into_iter().map(RankedRef::into_hit).collect()
     }
 
-    /// Plans a service chain over the live semantic adverts, as
-    /// [`RegistryEngine::compose`] does over its single store.
+    /// Plans a service chain (paper §4.3 composition support) over the live
+    /// *semantic* advertisements. Returns the chain's advertisements in
+    /// execution order, or `None` when no chain exists or the semantic
+    /// model is unsupported. The planner picks the first producer of a
+    /// needed concept, so candidates are offered in ascending advert-id
+    /// order: the chain is a function of the store's content, not of hash
+    /// map iteration order.
     pub fn compose(
         &self,
         request: &sds_semantic::ServiceRequest,
@@ -519,25 +541,24 @@ impl ShardedEngine {
     ) -> Option<Vec<Advertisement>> {
         let evaluator = self.evaluators.get(&ModelId::Semantic)?;
         let index = evaluator.subsumption_index()?;
-        let live: Vec<&Advertisement> = self
+        let mut live: Vec<(&Advertisement, &sds_semantic::ServiceProfile)> = self
             .store()
             .live(now)
-            .map(|s| &s.advert)
-            .filter(|a| matches!(a.description, sds_protocol::Description::Semantic(_)))
-            .collect();
-        let profiles: Vec<sds_semantic::ServiceProfile> = live
-            .iter()
-            .map(|a| match &a.description {
-                sds_protocol::Description::Semantic(p) => p.clone(),
-                _ => unreachable!("filtered above"),
+            .filter_map(|s| match &s.advert.description {
+                sds_protocol::Description::Semantic(p) => Some((&s.advert, p)),
+                _ => None,
             })
             .collect();
+        live.sort_unstable_by_key(|(a, _)| a.id);
+        let profiles: Vec<sds_semantic::ServiceProfile> =
+            live.iter().map(|&(_, p)| p.clone()).collect();
         let plan = sds_semantic::compose(index, request, &profiles, max_depth)?;
-        Some(plan.steps.iter().map(|&i| live[i].clone()).collect())
+        Some(plan.steps.iter().map(|&i| live[i].0.clone()).collect())
     }
 
     /// Evaluates a single payload against a single advertisement — used for
-    /// subscription matching on publish.
+    /// subscription matching on publish. `None` for unsupported models and
+    /// non-matches alike.
     pub fn evaluate_single(
         &self,
         payload: &QueryPayload,
@@ -546,10 +567,12 @@ impl ShardedEngine {
         self.evaluators.get(&payload.model())?.evaluate(payload, advert)
     }
 
-    /// Current summary for registry signaling, agreeing with
-    /// [`RegistryEngine::summary`]. Fast path: when no shard holds an
+    /// Current summary for registry signaling. Models come out ascending by
+    /// wire tag by construction. Fast path: when no shard holds an
     /// expired-but-unpurged advert, the maintained per-model counts answer
-    /// in O(shards).
+    /// in O(shards). `&mut` because deciding "nothing expired" pops stale
+    /// expiry-heap entries — without that, every renewal would knock the
+    /// summary onto full scans until the superseded expiry passed.
     pub fn summary(&mut self, now: SimTime) -> RegistrySummary {
         let none_expired = self.shards.iter_mut().all(|s| s.none_expired(now));
         let counts: [usize; 3] = if none_expired {

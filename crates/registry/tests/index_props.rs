@@ -3,8 +3,10 @@
 //! renewals, out-of-ontology ClassIds straight "from the wire"), the
 //! candidate-generation `evaluate` must return exactly the ranked hit vector
 //! of the naive full scan — same hit set, same tie-break order — and
-//! `summary` must agree with a from-scratch recount. Run under the
-//! in-workspace seeded harness (`sds_rand::check`).
+//! `summary` must agree with a from-scratch recount. Both run on the engine
+//! at one shard, i.e. the unsharded registry (`shard_props` carries the same
+//! oracle across shard counts). Run under the in-workspace seeded harness
+//! (`sds_rand::check`).
 
 use std::sync::Arc;
 
@@ -16,7 +18,7 @@ use sds_protocol::{
     Uuid,
 };
 use sds_registry::{
-    LeasePolicy, RegistryEngine, RegistrySummary, SemanticEvaluator, TemplateEvaluator,
+    LeasePolicy, RegistrySummary, SemanticEvaluator, ShardedEngine, TemplateEvaluator,
     UriEvaluator,
 };
 use sds_semantic::{ClassId, Ontology, ServiceProfile, ServiceRequest, SubsumptionIndex};
@@ -125,7 +127,7 @@ fn arb_op(rng: &mut Rng) -> Op {
 }
 
 /// Recomputes the summary by scanning the live adverts, the pre-index way.
-fn naive_summary(engine: &RegistryEngine, now: u64) -> RegistrySummary {
+fn naive_summary(engine: &ShardedEngine, now: u64) -> RegistrySummary {
     let mut models: Vec<ModelId> = Vec::new();
     let mut count = 0u32;
     for a in engine.store().live(now) {
@@ -146,11 +148,11 @@ fn indexed_evaluate_equals_naive_full_scan() {
         let ontology_len = ontology.len() as u32;
         let idx = Arc::new(SubsumptionIndex::build(&ontology));
 
-        let mut engine = RegistryEngine::new(LeasePolicy {
-            default_ms: 50,
-            max_ms: 100_000,
-            leasing_enabled: true,
-        });
+        let mut engine = ShardedEngine::new(
+            LeasePolicy { default_ms: 50, max_ms: 100_000, leasing_enabled: true },
+            1,
+            Some(&idx),
+        );
         engine.register_evaluator(Box::new(UriEvaluator));
         engine.register_evaluator(Box::new(TemplateEvaluator));
         engine.register_evaluator(Box::new(SemanticEvaluator::new(idx)));
@@ -213,7 +215,7 @@ fn unlimited_queries_return_every_live_match() {
         let ontology = arb_ontology(rng);
         let ontology_len = ontology.len() as u32;
         let idx = Arc::new(SubsumptionIndex::build(&ontology));
-        let mut engine = RegistryEngine::new(LeasePolicy::default());
+        let mut engine = ShardedEngine::new(LeasePolicy::default(), 1, Some(&idx));
         engine.register_evaluator(Box::new(SemanticEvaluator::new(idx)));
 
         let n = rng.gen_range(0..20u64);

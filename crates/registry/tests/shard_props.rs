@@ -1,16 +1,14 @@
 //! Equivalence properties for the sharded data plane: on randomized
 //! taxonomies, stores, and lease schedules, [`ShardedEngine`] at 1, 2, 4,
-//! and 8 shards must be observably identical to [`RegistryEngine`] — same
-//! publish outcomes and granted leases, same purge sets, byte-identical
-//! ranked hit vectors (which `RegistryEngine` itself locks against
-//! `naive_evaluate`), and identical summaries. Batched evaluation must
-//! coalesce duplicate queries without changing a single result byte, a
-//! query cache fed by `evaluate_with_validity` plus the node's invalidation
-//! rules must never serve bytes a fresh evaluation would not return, and
-//! the parallel data plane (`set_workers`) must be byte-identical to the
-//! sequential path at every worker count (sweep the suite under
-//! `SDS_REGISTRY_WORKERS=1/2/4` to pin a divergence to its count, as
-//! `scripts/ci.sh` does).
+//! and 8 shards must return ranked hit vectors byte-identical to the
+//! independent linear scan (`naive_evaluate`), and at 2, 4, and 8 shards the
+//! same publish outcomes, granted leases, purge order, summaries and store
+//! sizes as at one shard — which is the unsharded registry. Batched
+//! evaluation must coalesce duplicate queries without changing a single
+//! result byte, a query cache fed by `evaluate_with_validity` plus the
+//! node's invalidation rules must never serve bytes a fresh evaluation would
+//! not return, and the parallel data plane (`set_workers`) must be
+//! byte-identical to the sequential path at 1, 2, and 4 workers.
 
 use std::sync::Arc;
 
@@ -21,14 +19,17 @@ use sds_protocol::{
     Advertisement, Description, DescriptionTemplate, QueryId, QueryMessage, QueryPayload, Uuid,
 };
 use sds_registry::{
-    cache_key, LeasePolicy, PublishOutcome, QueryCache, RegistryEngine, SemanticEvaluator,
-    ShardedEngine, TemplateEvaluator, UriEvaluator,
+    cache_key, LeasePolicy, PublishOutcome, QueryCache, SemanticEvaluator, ShardedEngine,
+    TemplateEvaluator, UriEvaluator,
 };
 use sds_semantic::{ClassId, Ontology, ServiceProfile, ServiceRequest, SubsumptionIndex};
 use sds_simnet::NodeId;
 
 const GHOST_CONCEPTS: u32 = 3;
+/// Shard counts under test; the first (one shard) is the reference.
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
+/// Worker counts under test; the first (sequential) is the reference.
+const WORKER_COUNTS: [usize; 3] = [1, 2, 4];
 
 fn arb_ontology(rng: &mut Rng) -> Ontology {
     let n = rng.gen_range(2..14u32);
@@ -126,18 +127,6 @@ fn arb_op(rng: &mut Rng) -> Op {
     }
 }
 
-fn reference_engine(idx: &Arc<SubsumptionIndex>) -> RegistryEngine {
-    let mut e = RegistryEngine::new(LeasePolicy {
-        default_ms: 50,
-        max_ms: 100_000,
-        leasing_enabled: true,
-    });
-    e.register_evaluator(Box::new(UriEvaluator));
-    e.register_evaluator(Box::new(TemplateEvaluator));
-    e.register_evaluator(Box::new(SemanticEvaluator::new(idx.clone())));
-    e
-}
-
 fn sharded_engine(shards: usize, idx: &Arc<SubsumptionIndex>) -> ShardedEngine {
     let mut e = ShardedEngine::new(
         LeasePolicy { default_ms: 50, max_ms: 100_000, leasing_enabled: true },
@@ -157,8 +146,7 @@ fn sharded_engine_matches_unsharded_at_every_shard_count() {
         let ontology_len = ontology.len() as u32;
         let idx = Arc::new(SubsumptionIndex::build(&ontology));
 
-        let mut reference = reference_engine(&idx);
-        let mut sharded: Vec<ShardedEngine> =
+        let mut engines: Vec<ShardedEngine> =
             SHARD_COUNTS.iter().map(|&n| sharded_engine(n, &idx)).collect();
 
         let ops = gen::vec_of(rng, 1, 60, arb_op);
@@ -166,6 +154,7 @@ fn sharded_engine_matches_unsharded_at_every_shard_count() {
         let mut seq = 0u64;
         for op in ops {
             now += rng.gen_range(0..40u64);
+            let (reference, sharded) = engines.split_first_mut().expect("counts nonempty");
             match op {
                 Op::Publish { id, version, lease_ms, from_provider } => {
                     let advert = Advertisement {
@@ -176,29 +165,29 @@ fn sharded_engine_matches_unsharded_at_every_shard_count() {
                     };
                     let source = if from_provider { NodeId(id as u32) } else { NodeId(999) };
                     let want = reference.publish(advert.clone(), source, now, lease_ms);
-                    for (engine, &n) in sharded.iter_mut().zip(&SHARD_COUNTS) {
+                    for (engine, &n) in sharded.iter_mut().zip(&SHARD_COUNTS[1..]) {
                         let got = engine.publish(advert.clone(), source, now, lease_ms);
                         assert_eq!(got, want, "publish outcome diverged at {n} shards, t={now}");
                     }
                 }
                 Op::Renew { id } => {
                     let want = reference.renew(Uuid(id), now);
-                    for (engine, &n) in sharded.iter_mut().zip(&SHARD_COUNTS) {
+                    for (engine, &n) in sharded.iter_mut().zip(&SHARD_COUNTS[1..]) {
                         let got = engine.renew(Uuid(id), now);
                         assert_eq!(got, want, "renew grant diverged at {n} shards, t={now}");
                     }
                 }
                 Op::Remove { id } => {
                     let want = reference.remove(Uuid(id));
-                    for (engine, &n) in sharded.iter_mut().zip(&SHARD_COUNTS) {
+                    for (engine, &n) in sharded.iter_mut().zip(&SHARD_COUNTS[1..]) {
                         assert_eq!(engine.remove(Uuid(id)), want, "remove diverged at {n} shards");
                     }
                 }
                 Op::Purge => {
                     let want = reference.purge(now);
-                    for (engine, &n) in sharded.iter_mut().zip(&SHARD_COUNTS) {
+                    for (engine, &n) in sharded.iter_mut().zip(&SHARD_COUNTS[1..]) {
                         let got = engine.purge(now);
-                        assert_eq!(got, want, "purge set diverged at {n} shards, t={now}");
+                        assert_eq!(got, want, "purge order diverged at {n} shards, t={now}");
                     }
                 }
                 Op::Query { max } => {
@@ -210,26 +199,26 @@ fn sharded_engine_matches_unsharded_at_every_shard_count() {
                         ttl: 0,
                         reply_to: None,
                     };
-                    // The unsharded engine is itself locked against the naive
-                    // full scan; assert against both to keep the chain tight.
-                    let want = reference.evaluate(&query, now);
-                    assert_eq!(want, reference.naive_evaluate(&query, now));
-                    for (engine, &n) in sharded.iter_mut().zip(&SHARD_COUNTS) {
+                    // The oracle shares nothing with the path under test but
+                    // the evaluator: no index, no routing, no top-k heap.
+                    // Every shard count answers to it, one shard included.
+                    let want = reference.naive_evaluate(&query, now);
+                    for (engine, &n) in engines.iter().zip(&SHARD_COUNTS) {
                         let got = engine.evaluate(&query, now);
                         assert_eq!(
                             got, want,
-                            "ranked hits diverged at {n} shards for {:?} at t={now}",
+                            "ranked hits diverged from the linear scan at {n} shards for {:?} \
+                             at t={now}",
                             query.payload
                         );
                     }
                 }
             }
+            let (reference, sharded) = engines.split_first_mut().expect("counts nonempty");
             let want = reference.summary(now);
-            for (engine, &n) in sharded.iter_mut().zip(&SHARD_COUNTS) {
-                assert_eq!(engine.summary(now), want, "summary diverged at {n} shards, t={now}");
-            }
             let want_len = reference.store().len();
-            for (engine, &n) in sharded.iter_mut().zip(&SHARD_COUNTS) {
+            for (engine, &n) in sharded.iter_mut().zip(&SHARD_COUNTS[1..]) {
+                assert_eq!(engine.summary(now), want, "summary diverged at {n} shards, t={now}");
                 assert_eq!(engine.store().len(), want_len, "store size diverged at {n} shards");
             }
         }
@@ -303,23 +292,6 @@ fn batched_evaluation_coalesces_without_changing_results() {
     });
 }
 
-/// The worker counts the parallel-equivalence property sweeps: pinned to the
-/// `SDS_REGISTRY_WORKERS` override when set (so `scripts/ci.sh` can attribute
-/// a divergence to its count), else 1, 2, and 4. The count-1 engine doubles
-/// as the sequential reference.
-fn worker_counts() -> Vec<usize> {
-    match sds_registry::pool::env_workers() {
-        Some(w) => {
-            let mut counts = vec![1];
-            if w != 1 {
-                counts.push(w);
-            }
-            counts
-        }
-        None => vec![1, 2, 4],
-    }
-}
-
 #[test]
 fn parallel_data_plane_matches_sequential_at_every_worker_count() {
     // The worker-count unobservability contract (DESIGN §16): the same op
@@ -331,7 +303,7 @@ fn parallel_data_plane_matches_sequential_at_every_worker_count() {
         let ontology = arb_ontology(rng);
         let ontology_len = ontology.len() as u32;
         let idx = Arc::new(SubsumptionIndex::build(&ontology));
-        let counts = worker_counts();
+        let counts = WORKER_COUNTS;
         let shards = rng.gen_range(1..9u64) as usize;
         let mut engines: Vec<ShardedEngine> = counts
             .iter()

@@ -9,6 +9,13 @@ cd "$(dirname "$0")/.."
 cargo build --release --offline
 cargo test -q --offline
 
+# The repo benchmark is its own workspace (benchmark/, path deps on
+# crates/*), so the workspace build above never compiles it: run its unit
+# tests — which compiles every source line of the benchmark binary — so a
+# public-API removal in crates/* that breaks it fails here, not at the next
+# benchmark run.
+cargo test --release --offline --manifest-path benchmark/Cargo.toml
+
 # Bounded chaos soak (quick mode): fixed 8-seed sweep of combined churn +
 # fault injection with post-heal convergence invariants. Deterministic, so
 # a red run here reproduces locally with the printed seed.
@@ -22,17 +29,11 @@ SDS_CHAOS_SEEDS=8 cargo test -q --offline -p sds-integration --test chaos_soak
 SDS_CHAOS_SEEDS=2 SDS_RECOVERY_BOUND=30000 \
   cargo test -q --offline -p sds-integration --test rolling_chaos
 
-# Engine equivalence: the shared-payload timing-wheel event core must
-# reproduce the pre-change engine bit-for-bit, and the partitioned engine
-# must be worker-count invariant against its own pinned golden digests.
-# The quick 2-seed tests run once per worker count (1, 2, 4) so a
-# scheduling-dependent divergence is attributed to its worker count; the
-# ignored tests release the full 8-seed sweeps (release profile) over all
-# three counts at once.
-for eq_workers in 1 2 4; do
-  SDS_EQ_WORKERS="$eq_workers" \
-    cargo test -q --offline --release -p sds-integration --test engine_equivalence
-done
+# Engine equivalence: the default configuration must reproduce the pinned
+# chaos-soak golden digests bit-for-bit on the sequential engine, and the
+# partitioned engine must reproduce its own pinned family at 1, 2 and 4
+# workers (a failure names the seed and worker count). --include-ignored
+# adds the full 8-seed sweeps (release profile) to the quick 2-seed tests.
 cargo test -q --offline --release -p sds-integration --test engine_equivalence \
   -- --include-ignored
 
@@ -57,17 +58,13 @@ SDS_BENCH_QUICK=1 cargo bench -q --offline -p sds-bench --bench microbench
 # history file.
 SDS_BENCH_QUICK=1 cargo run -q --release --offline -p sds-bench --bin s1_engine_scaling
 
-# Shard-equivalence sweep: the sharded data plane (1/2/4/8 shards), batched
-# coalescing, and the lease-invalidated query cache must stay byte-identical
-# to the unsharded engine on randomized taxonomies, stores, and lease
-# schedules (seeded in-workspace property harness). Run once per data-plane
-# worker count so a scheduling-dependent divergence in the parallel engine
-# is attributed to its count (the parallel≡sequential property compares the
-# pinned count against the 1-worker reference).
-for dp_workers in 1 2 4; do
-  SDS_REGISTRY_WORKERS="$dp_workers" \
-    cargo test -q --offline -p sds-registry --test shard_props
-done
+# Shard-equivalence sweep: the engine at 1/2/4/8 shards must return the
+# linear scan's ranked hits and the one-shard engine's outcomes, leases,
+# purge order and summaries; batched coalescing, the lease-invalidated query
+# cache and the parallel data plane (1/2/4 workers) must stay byte-identical
+# to a lone sequential evaluation — on randomized taxonomies, stores, and
+# lease schedules (seeded in-workspace property harness).
+cargo test -q --offline -p sds-registry --test shard_props
 
 # Multi-worker registry scenario: the full chaos soak with every registry on
 # a 4-shard, multi-worker data plane must reproduce the default plane's
@@ -99,14 +96,14 @@ SDS_BENCH_QUICK=1 cargo run -q --release --offline -p sds-bench --bin o1_overloa
 
 # Federation convergence property: 8 seeds of loss + duplication + reorder
 # plus a 20 s partial partition; every registry must end with the exact
-# same live (advert id -> version) map within the documented bound, via
-# the anti-entropy plane alone (zero legacy advert pushes).
+# same live (advert id -> version) map within the documented bound.
 cargo test -q --offline -p sds-integration --test federation_sync
 
 # Federation-replication smoke (quick mode: 2 and 4 LANs, 60 s windows):
-# proves the F1 bin runs both replication planes and keeps recording the
-# WAN-bytes ratio and anti-entropy staleness into the history file. The
-# full-size >=5x / bounded-staleness assertions run in non-quick mode.
+# proves the F1 bin runs and keeps recording anti-entropy WAN bytes,
+# staleness and convergence time into the history file. The full-size
+# byte-budget / bounded-staleness / convergence assertions run in non-quick
+# mode.
 SDS_BENCH_QUICK=1 cargo run -q --release --offline -p sds-bench --bin f1_federation_sync
 
 test -s "${CARGO_TARGET_DIR:-target}/bench-history.jsonl" \

@@ -15,7 +15,7 @@
 
 use std::fmt::Write as _;
 
-use sds_core::{ClientNode, QueryOptions, RegistryNode, SyncMode};
+use sds_core::{ClientNode, QueryOptions, RegistryNode};
 use sds_metrics::{fingerprint, recall, InvariantReport};
 use sds_protocol::ModelId;
 use sds_simnet::{secs, NodeId, PartitionPlan};
@@ -35,17 +35,10 @@ pub struct SoakOutcome {
     pub digest: u64,
 }
 
-/// Runs the soak with the default registry configuration (anti-entropy
-/// replication, like every production-shaped scenario).
+/// Runs the soak with the default registry configuration on the sequential
+/// engine, like every production-shaped scenario.
 pub fn run_soak(seed: u64) -> SoakOutcome {
-    run_soak_with(seed, SyncMode::default())
-}
-
-/// Runs the soak with an explicit replication plane. `SyncMode::Legacy`
-/// reproduces the historical wire behaviour byte-for-byte, which is what the
-/// golden-fingerprint equivalence tests pin.
-pub fn run_soak_with(seed: u64, sync_mode: SyncMode) -> SoakOutcome {
-    run_soak_configured(seed, sync_mode, PartitionPlan::Single, 1, DataPlane::default())
+    run_soak_configured(seed, PartitionPlan::Single, 1, DataPlane::default())
 }
 
 /// Runs the soak on the partitioned engine (one domain per LAN) with the
@@ -55,7 +48,7 @@ pub fn run_soak_with(seed: u64, sync_mode: SyncMode) -> SoakOutcome {
 /// every `workers` value, which is the worker-count-invariance guarantee
 /// `engine_equivalence.rs` pins.
 pub fn run_soak_partitioned(seed: u64, workers: usize) -> SoakOutcome {
-    run_soak_configured(seed, SyncMode::Legacy, PartitionPlan::PerLan, workers, DataPlane::default())
+    run_soak_configured(seed, PartitionPlan::PerLan, workers, DataPlane::default())
 }
 
 /// The registry data-plane shape the soak runs with: shard count and
@@ -75,17 +68,16 @@ impl Default for DataPlane {
     }
 }
 
-/// Runs the soak with a sharded, multi-worker registry data plane on the
-/// default replication plane — the end-to-end "multi-worker registry
-/// scenario": every registry node evaluates broadcast scans and batch
-/// queues across `workers` scoped threads inside its handler.
+/// Runs the soak with a sharded, multi-worker registry data plane — the
+/// end-to-end "multi-worker registry scenario": every registry node
+/// evaluates broadcast scans and batch queues across `workers` scoped
+/// threads inside its handler.
 pub fn run_soak_data_plane(seed: u64, plane: DataPlane) -> SoakOutcome {
-    run_soak_configured(seed, SyncMode::default(), PartitionPlan::Single, 1, plane)
+    run_soak_configured(seed, PartitionPlan::Single, 1, plane)
 }
 
 fn run_soak_configured(
     seed: u64,
-    sync_mode: SyncMode,
     partition: PartitionPlan,
     workers: usize,
     data_plane: DataPlane,
@@ -106,7 +98,6 @@ fn run_soak_configured(
         workers,
         ..Default::default()
     };
-    cfg.registry.sync_mode = sync_mode;
     cfg.registry.shard_count = data_plane.shard_count;
     cfg.registry.data_plane_workers = data_plane.workers;
     // Keep the duplicate-counting invariant sharp: unicast queries have

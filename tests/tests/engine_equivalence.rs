@@ -1,64 +1,62 @@
-//! Byte-identical equivalence evidence for the engine optimization work.
+//! Byte-identical equivalence evidence for changes that claim to be
+//! observably free (engine optimizations, refactors, path deletions): *no
+//! observable bit changes*. These tests pin that contract:
 //!
-//! The shared-payload delivery path, the generation-stamped (tombstone-free)
-//! event core, and the lazily materialized per-node RNGs were all introduced
-//! under one contract: *no observable bit changes*. These tests pin that
-//! contract:
-//!
-//! * the full chaos-soak metric transcript digests for eight seeds must equal
-//!   the goldens recorded from the pre-change engine (same commit history,
-//!   release profile) — the soak exercises multicast fan-out, duplication,
-//!   corruption (copy-on-write forks), reordering, timer cancellation storms,
-//!   crashes and revivals, so a single diverged RNG draw or reordered
-//!   delivery flips the digest;
+//! * the full chaos-soak metric transcript digests for eight seeds, on the
+//!   default configuration, must equal the pinned goldens — the soak
+//!   exercises multicast fan-out, duplication, corruption (copy-on-write
+//!   forks), reordering, timer cancellation storms, crashes and revivals,
+//!   anti-entropy replication and its loss recovery, so a single diverged
+//!   RNG draw or reordered delivery flips the digest;
 //! * the parallel multi-seed driver must return exactly what the sequential
 //!   loop returns, at every worker count, including for full simulation
 //!   workloads.
 
 use sds_bench::parallel;
-use sds_core::SyncMode;
-use sds_integration::soak::{run_soak, run_soak_partitioned, run_soak_with};
+use sds_integration::soak::{run_soak, run_soak_partitioned};
 
-/// Chaos-soak digests recorded from the engine *before* the shared-payload /
-/// generation-stamp / lazy-RNG rewrite (release build). The optimized engine
-/// must reproduce them bit-for-bit.
+/// Chaos-soak digests of `run_soak(seed)` — default registry configuration,
+/// sequential engine (`PartitionPlan::Single`). Recorded at rev `b1e8ca1`
+/// (release build); every entry was invariant-clean
+/// (`report.assert_clean()`) when recorded. Any change that claims to leave
+/// the default path alone must reproduce them bit-for-bit.
 const PRE_CHANGE_GOLDENS: [(u64, u64); 8] = [
-    (0, 0xD2190D2842686EFA),
-    (1, 0x418E169F0D671E7C),
-    (2, 0x0A986879CD893641),
-    (3, 0x17D2D02FC265149E),
-    (4, 0x26424E8E6ECB489A),
-    (5, 0x455EC97B8B4DF60A),
-    (6, 0x0E57546A85F34D55),
-    (7, 0xCEFEEDC802D84C2E),
+    (0, 0x02C808680D3D9782),
+    (1, 0xE9854678B82EA2AB),
+    (2, 0xE6882F9E86881C7C),
+    (3, 0x49925F0F2912F4FD),
+    (4, 0x1F7D62FB4DFD880D),
+    (5, 0xEC2AB1C538534798),
+    (6, 0x3E1C33C3D803520B),
+    (7, 0x2E00F34F5D405649),
 ];
 
 /// The two seeds cheap enough for the debug-profile tier-1 run; the release
-/// variant below covers all eight. Pinned to `SyncMode::Legacy`: the goldens
-/// predate anti-entropy federation, and legacy mode contracts to reproduce
-/// the historical wire behaviour byte-for-byte.
+/// variant below covers all eight.
 #[test]
 fn chaos_digests_match_pre_change_engine() {
     for &(seed, want) in &PRE_CHANGE_GOLDENS[..2] {
-        let got = run_soak_with(seed, SyncMode::Legacy).digest;
+        let o = run_soak(seed);
+        o.report.assert_clean();
         assert_eq!(
-            got, want,
-            "seed {seed}: engine output diverged from the pre-optimization transcript \
-             (got 0x{got:016X}, want 0x{want:016X})"
+            o.digest, want,
+            "seed {seed}: output diverged from the pinned transcript \
+             (got 0x{:016X}, want 0x{want:016X})",
+            o.digest
         );
     }
 }
 
 /// Full eight-seed sweep, driven through the parallel driver — one test
-/// proving both halves at once: the optimized engine reproduces the
-/// pre-change transcripts, and the parallel fan-out changes nothing.
+/// proving both halves at once: the code reproduces the pinned transcripts,
+/// and the parallel fan-out changes nothing.
 /// Expensive in debug, so gated to release-style soak runs like the chaos
 /// soak's long tail.
 #[test]
 #[ignore = "eight release-profile soaks; run explicitly via ci.sh"]
 fn chaos_digests_match_pre_change_engine_all_seeds_parallel() {
     let seeds: Vec<u64> = PRE_CHANGE_GOLDENS.iter().map(|&(s, _)| s).collect();
-    let digests = parallel::map(&seeds, |_, &seed| run_soak_with(seed, SyncMode::Legacy).digest);
+    let digests = parallel::map(&seeds, |_, &seed| run_soak(seed).digest);
     for (&(seed, want), &got) in PRE_CHANGE_GOLDENS.iter().zip(&digests) {
         assert_eq!(got, want, "seed {seed} under the parallel driver");
     }
@@ -94,7 +92,8 @@ fn parallel_map_indexes_and_orders_by_input() {
 }
 
 /// Chaos-soak digests for the *partitioned* engine (one share-nothing domain
-/// per LAN), recorded at `workers = 1`. Partitioned mode draws link/fault
+/// per LAN), default registry configuration, recorded at rev `b1e8ca1` at
+/// `workers = 1`, `2` and `4` (identical). Partitioned mode draws link/fault
 /// randomness from per-LAN streams (so domains can run concurrently without
 /// sharing an RNG) and serializes WAN sends per uplink rather than through
 /// one global pipe, so its transcripts are a distinct golden family from
@@ -103,34 +102,18 @@ fn parallel_map_indexes_and_orders_by_input() {
 /// worker assignment must have zero observable effect. Every entry was
 /// verified invariant-clean (full convergence report) when recorded.
 const PARTITIONED_GOLDENS: [(u64, u64); 8] = [
-    (0, 0x5E41BE48343340E3),
-    (1, 0x38AE9ADC996698AA),
-    (2, 0xBA4A216A138F1445),
-    (3, 0x1B5A0A63F4377301),
-    (4, 0xAB44ED9B5746647A),
-    (5, 0x9A1F401B674C6EC0),
-    (6, 0x9700AB2AAEC8DA9D),
-    (7, 0x9F19109B53F71382),
+    (0, 0xCA8925EC07E1B0D5),
+    (1, 0x3D2FAB5F921BB314),
+    (2, 0xC4991140D34CC7F0),
+    (3, 0x49759CFAF74A6D4E),
+    (4, 0x42B05254032D2F90),
+    (5, 0x2B7F7D6F479EF62E),
+    (6, 0x73641A28F7DDD251),
+    (7, 0x1FE3E677D2A62AEF),
 ];
 
-/// Worker counts to sweep, from `SDS_EQ_WORKERS` (comma-separated) or the
-/// default `1,2,4`. CI invokes the quick test once per worker count to get
-/// separate pass/fail signals; a bare `cargo test` sweeps all three.
-fn eq_workers() -> Vec<usize> {
-    match std::env::var("SDS_EQ_WORKERS") {
-        Ok(s) => s
-            .split(',')
-            .map(|w| {
-                w.trim()
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|&w| w > 0)
-                    .unwrap_or_else(|| panic!("SDS_EQ_WORKERS: bad worker count {w:?}"))
-            })
-            .collect(),
-        Err(_) => vec![1, 2, 4],
-    }
-}
+/// Worker counts the partitioned sweeps cover.
+const EQ_WORKERS: [usize; 3] = [1, 2, 4];
 
 /// Worker-count invariance, quick tier: the partitioned engine must produce
 /// the pinned digest — and a clean convergence report — for every worker
@@ -138,7 +121,7 @@ fn eq_workers() -> Vec<usize> {
 #[test]
 fn partitioned_chaos_digests_are_worker_count_invariant() {
     for &(seed, want) in &PARTITIONED_GOLDENS[..2] {
-        for workers in eq_workers() {
+        for workers in EQ_WORKERS {
             let o = run_soak_partitioned(seed, workers);
             o.report.assert_clean();
             assert_eq!(
@@ -157,7 +140,7 @@ fn partitioned_chaos_digests_are_worker_count_invariant() {
 #[ignore = "eight release-profile soaks per worker count; run explicitly via ci.sh"]
 fn partitioned_chaos_digests_are_worker_count_invariant_all_seeds() {
     for &(seed, want) in &PARTITIONED_GOLDENS {
-        for workers in eq_workers() {
+        for workers in EQ_WORKERS {
             let o = run_soak_partitioned(seed, workers);
             o.report.assert_clean();
             assert_eq!(o.digest, want, "seed {seed} workers {workers}");

@@ -10,23 +10,15 @@
 //! registry runs. A divergence here means thread scheduling leaked into
 //! ranked hits, lease grants, or wire traffic — exactly the regression class
 //! the parallel merge order is designed out of.
-//!
-//! Worker counts honor the `SDS_REGISTRY_WORKERS` override (positive
-//! integer, hard error otherwise) so CI can attribute a divergence to one
-//! pinned count per invocation.
 
 use sds_integration::soak::{run_soak, run_soak_data_plane, DataPlane};
-
-fn worker_counts() -> Vec<usize> {
-    sds_registry::pool::env_workers().map_or_else(|| vec![1, 2, 4], |w| vec![w])
-}
 
 #[test]
 fn multiworker_data_plane_is_unobservable_end_to_end() {
     for seed in [0u64, 1] {
         let baseline = run_soak(seed);
         baseline.report.assert_clean();
-        for workers in worker_counts() {
+        for workers in [1, 2, 4] {
             let plane = DataPlane { shard_count: 4, workers };
             let outcome = run_soak_data_plane(seed, plane);
             outcome.report.assert_clean();

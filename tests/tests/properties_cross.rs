@@ -9,7 +9,7 @@ use sds_rand::check::{gen, Checker};
 use sds_rand::Rng;
 
 use sds_protocol::{Advertisement, Description, DescriptionTemplate, QueryId, QueryMessage, QueryPayload, Uuid};
-use sds_registry::{LeasePolicy, RegistryEngine, SemanticEvaluator, TemplateEvaluator, UriEvaluator};
+use sds_registry::{LeasePolicy, SemanticEvaluator, ShardedEngine, TemplateEvaluator, UriEvaluator};
 use sds_semantic::{ClassId, Ontology, ServiceProfile, ServiceRequest, SubsumptionIndex};
 use sds_simnet::NodeId;
 use sds_workload::Oracle;
@@ -83,7 +83,7 @@ fn engine_vs_oracle(descriptions: &[Description], payload: &QueryPayload) -> (Ve
     let idx = Arc::new(SubsumptionIndex::build(&ont));
     let oracle = Oracle::new(idx.clone());
 
-    let mut engine = RegistryEngine::new(LeasePolicy::default());
+    let mut engine = ShardedEngine::new(LeasePolicy::default(), 1, Some(&idx));
     engine.register_evaluator(Box::new(UriEvaluator));
     engine.register_evaluator(Box::new(TemplateEvaluator));
     engine.register_evaluator(Box::new(SemanticEvaluator::new(idx)));
@@ -162,7 +162,7 @@ fn response_control_returns_a_prefix_of_the_unlimited_ranking() {
         let k = rng.gen_range(0..8u16);
         let (ont, _) = taxonomy();
         let idx = Arc::new(SubsumptionIndex::build(&ont));
-        let mut engine = RegistryEngine::new(LeasePolicy::default());
+        let mut engine = ShardedEngine::new(LeasePolicy::default(), 1, Some(&idx));
         engine.register_evaluator(Box::new(UriEvaluator));
         engine.register_evaluator(Box::new(TemplateEvaluator));
         engine.register_evaluator(Box::new(SemanticEvaluator::new(idx)));
