@@ -22,6 +22,7 @@ use sds_semantic::Degree;
 use sds_simnet::{Ctx, Destination, NodeHandler, NodeId, SimTime, TimerId};
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 const TAG_BEACON: u64 = 1;
 
@@ -78,7 +79,7 @@ pub struct DhtStats {
 pub struct DhtNode {
     cfg: DhtConfig,
     /// Key → adverts stored under that key (this node owns these keys).
-    index: HashMap<String, Vec<Advertisement>>,
+    index: HashMap<String, Vec<Arc<Advertisement>>>,
     pub stats: DhtStats,
 }
 

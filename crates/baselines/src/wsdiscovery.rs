@@ -40,7 +40,7 @@ fn evaluators(idx: Option<Arc<SubsumptionIndex>>) -> Vec<Box<dyn ModelEvaluator>
 fn evaluate_all(
     evaluators: &[Box<dyn ModelEvaluator>],
     payload: &sds_protocol::QueryPayload,
-    adverts: impl Iterator<Item = Advertisement>,
+    adverts: impl Iterator<Item = Arc<Advertisement>>,
 ) -> Vec<ResponseHit> {
     let mut hits = Vec::new();
     for advert in adverts {
@@ -60,7 +60,7 @@ pub struct WsServiceNode {
     descriptions: Vec<Description>,
     evaluators: Vec<Box<dyn ModelEvaluator>>,
     codec: Codec,
-    adverts: Vec<Advertisement>,
+    adverts: Vec<Arc<Advertisement>>,
     /// When a proxy has been heard, providers stay silent on probes.
     proxy_seen: Option<SimTime>,
     /// How long a proxy beacon suppresses direct answers.
@@ -107,11 +107,13 @@ impl NodeHandler<DiscoveryMessage> for WsServiceNode {
         self.adverts = self
             .descriptions
             .iter()
-            .map(|d| Advertisement {
-                id: Uuid::generate(ctx.rng()),
-                provider: ctx.node(),
-                description: d.clone(),
-                version: 1,
+            .map(|d| {
+                Arc::new(Advertisement {
+                    id: Uuid::generate(ctx.rng()),
+                    provider: ctx.node(),
+                    description: d.clone(),
+                    version: 1,
+                })
             })
             .collect();
         let lan = ctx.lan();
@@ -159,7 +161,7 @@ pub struct WsProxyNode {
     evaluators: Vec<Box<dyn ModelEvaluator>>,
     codec: Codec,
     beacon_interval: SimTime,
-    cache: Vec<Advertisement>,
+    cache: Vec<Arc<Advertisement>>,
     pub answers_sent: u64,
 }
 

@@ -236,12 +236,12 @@ fn bench_codec(h: &mut Harness) {
         },
     );
     let msg = DiscoveryMessage::publishing(PublishOp::Publish {
-        advert: Advertisement {
+        advert: Arc::new(Advertisement {
             id: Uuid(7),
             provider: NodeId(3),
             description: w.descriptions[0].clone(),
             version: 1,
-        },
+        }),
         lease_ms: 30_000,
     });
     let bytes = codec::encode(&msg);

@@ -17,7 +17,7 @@ fn publish_size(codec: Codec, description: Description) -> u32 {
     let advert =
         Advertisement { id: Uuid(1), provider: NodeId(0), description, version: 1 };
     codec.message_size(&DiscoveryMessage::publishing(PublishOp::Publish {
-        advert,
+        advert: advert.into(),
         lease_ms: 30_000,
     }))
 }

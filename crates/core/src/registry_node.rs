@@ -601,7 +601,7 @@ impl RegistryNode {
     /// cache entry's validity already ends at its earliest returned lease.
     fn publish_cached(
         &mut self,
-        advert: Advertisement,
+        advert: Arc<Advertisement>,
         from: NodeId,
         now: SimTime,
         lease_ms: u64,
@@ -615,8 +615,7 @@ impl RegistryNode {
         match (outcome, &before) {
             (PublishOutcome::New, _) => self.invalidate_cache(&advert),
             (PublishOutcome::Updated, Some((old, _))) => {
-                let old = old.clone();
-                self.invalidate_cache(&old);
+                self.invalidate_cache(old);
                 self.invalidate_cache(&advert);
             }
             (PublishOutcome::Updated, None) => self.invalidate_cache(&advert),
@@ -625,8 +624,7 @@ impl RegistryNode {
                 // The provider-heartbeat rule may have revived the *stored*
                 // version; its constraints are what now match again.
                 if self.engine.store().get(&advert.id).is_some_and(|s| s.is_live(now)) {
-                    let old = old.clone();
-                    self.invalidate_cache(&old);
+                    self.invalidate_cache(old);
                 }
             }
             _ => {}
@@ -828,7 +826,11 @@ impl RegistryNode {
     /// Checks a freshly stored advert against every live standing query and
     /// notifies subscribers ("registration for notifications about service
     /// advertisements of interest").
-    fn notify_subscribers(&mut self, ctx: &mut Ctx<'_, DiscoveryMessage>, advert: &Advertisement) {
+    fn notify_subscribers(
+        &mut self,
+        ctx: &mut Ctx<'_, DiscoveryMessage>,
+        advert: &Arc<Advertisement>,
+    ) {
         let now = ctx.now();
         // Candidate generation over the subscription index: only standing
         // queries whose constraints relate to this advert are re-matched
@@ -907,7 +909,7 @@ impl RegistryNode {
     ) {
         let now = ctx.now();
         let n = self.cfg.sync_buckets;
-        let mut owned: Vec<(Advertisement, SimTime)> = self
+        let mut owned: Vec<(Arc<Advertisement>, SimTime)> = self
             .engine
             .store()
             .first_hand(now)

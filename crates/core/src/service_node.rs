@@ -41,6 +41,10 @@ struct HostedService {
     attempts: u8,
     /// Whether a retry checkpoint timer for this service is outstanding.
     retry_timer_pending: bool,
+    /// The advert as last sent. Reused while `id` and `version` still match,
+    /// so renew-unknown republishes, retries and fallback answers re-send
+    /// one allocation instead of cloning the description each time.
+    advert: Option<Arc<Advertisement>>,
 }
 
 /// Counters exposed for experiments.
@@ -106,6 +110,7 @@ impl ServiceNode {
                     awaiting_ack: false,
                     attempts: 0,
                     retry_timer_pending: false,
+                    advert: None,
                 })
                 .collect(),
             evaluators,
@@ -190,14 +195,22 @@ impl ServiceNode {
         }
     }
 
-    fn advert_of(svc: &mut HostedService, ctx: &mut Ctx<'_, DiscoveryMessage>) -> Advertisement {
+    fn advert_of(
+        svc: &mut HostedService,
+        ctx: &mut Ctx<'_, DiscoveryMessage>,
+    ) -> Arc<Advertisement> {
         let id = *svc.id.get_or_insert_with(|| Uuid::generate(ctx.rng()));
-        Advertisement {
-            id,
-            provider: ctx.node(),
-            description: svc.description.clone(),
-            version: svc.version,
-        }
+        let cached = svc.advert.take().filter(|a| a.id == id && a.version == svc.version);
+        let advert = cached.unwrap_or_else(|| {
+            Arc::new(Advertisement {
+                id,
+                provider: ctx.node(),
+                description: svc.description.clone(),
+                version: svc.version,
+            })
+        });
+        svc.advert = Some(advert.clone());
+        advert
     }
 
     fn publish_all(&mut self, ctx: &mut Ctx<'_, DiscoveryMessage>, registry: NodeId) {

@@ -161,16 +161,24 @@ fn registry_restart_triggers_republish() {
     let r = w.registry(0, RegistryConfig::default());
     let s = w.uri_service(0, "urn:svc:chat");
     w.sim.run_until(secs(1));
-    assert_eq!(w.sim.handler::<RegistryNode>(r).unwrap().engine().store().len(), 1);
+    let stored = |w: &World| -> Vec<_> {
+        let registry = w.sim.handler::<RegistryNode>(r).unwrap();
+        registry.engine().store().iter().map(|s| s.advert.clone()).collect()
+    };
+    let first = stored(&w);
+    assert_eq!(first.len(), 1);
 
     // Restart the registry: soft state (adverts) is lost.
     w.sim.crash_node(r);
     w.sim.revive_node(r);
-    assert_eq!(w.sim.handler::<RegistryNode>(r).unwrap().engine().store().len(), 0);
+    assert!(stored(&w).is_empty());
 
-    // The provider's next renewal gets `known: false` and republishes.
+    // The provider's next renewal gets `known: false` and republishes: the
+    // same version, so the very allocation it sent the first time.
     w.sim.run_until(secs(30));
-    assert_eq!(w.sim.handler::<RegistryNode>(r).unwrap().engine().store().len(), 1);
+    let again = stored(&w);
+    assert_eq!(again.len(), 1);
+    assert!(Arc::ptr_eq(&first[0], &again[0]), "a republish rebuilds nothing");
     assert!(w.sim.handler::<ServiceNode>(s).unwrap().stats.republishes_after_unknown >= 1);
 }
 
@@ -474,4 +482,29 @@ fn updated_description_is_republished() {
     assert_eq!(results[0].hits.len(), 1, "new content discoverable");
     assert_eq!(results[1].hits.len(), 0, "old content replaced, same advert id");
     assert_eq!(w.sim.handler::<RegistryNode>(r).unwrap().engine().store().len(), 1);
+}
+
+#[test]
+fn cached_response_hits_share_the_stores_adverts() {
+    let mut w = world(1, 19);
+    let r = w.registry(0, RegistryConfig::default());
+    let desc = radar_profile(w.svc_cat, w.radar);
+    let _s = w.service(0, desc, ServiceConfig::default());
+    let c = w.client(0);
+    w.sim.run_until(secs(1));
+    let payload = QueryPayload::Semantic(ServiceRequest::default().with_outputs(&[w.sensor]));
+    w.query(c, payload.clone(), QueryOptions::default());
+    w.sim.run_until(secs(6));
+    w.query(c, payload, QueryOptions::default());
+    w.sim.run_until(secs(12));
+
+    let registry = w.sim.handler::<RegistryNode>(r).unwrap();
+    assert_eq!(registry.cache_stats().hits, 1, "the repeat was served from the cache");
+    let results = w.results(c);
+    assert_eq!((results[0].hits.len(), results[1].hits.len()), (1, 1));
+    // One allocation from the provider's publish to both responses: the
+    // evaluated one and the cached one hand out the store's advert.
+    let stored = &registry.engine().store().get(&results[0].hits[0].advert.id).unwrap().advert;
+    assert!(Arc::ptr_eq(&results[0].hits[0].advert, stored));
+    assert!(Arc::ptr_eq(&results[1].hits[0].advert, stored));
 }

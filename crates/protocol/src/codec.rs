@@ -7,6 +7,7 @@
 //! version, and trailing bytes.
 
 use std::fmt;
+use std::sync::Arc;
 
 use sds_semantic::{ClassId, Degree, QosConstraint, QosValue, ServiceProfile, ServiceRequest};
 use sds_simnet::NodeId;
@@ -337,12 +338,14 @@ fn write_advert(w: &mut Writer, a: &Advertisement) {
     write_description(w, &a.description);
 }
 
-fn read_advert(r: &mut Reader<'_>) -> R<Advertisement> {
+/// The one allocation of a received advert: everything downstream of
+/// `decode` shares this `Arc`.
+fn read_advert(r: &mut Reader<'_>) -> R<Arc<Advertisement>> {
     let id = Uuid(r.u128()?);
     let provider = r.node()?;
     let version = r.u32()?;
     let description = read_description(r)?;
-    Ok(Advertisement { id, provider, description, version })
+    Ok(Arc::new(Advertisement { id, provider, description, version }))
 }
 
 fn write_query(w: &mut Writer, q: &QueryMessage) {
@@ -922,12 +925,12 @@ mod tests {
             entries: vec![
                 SyncEntry::Delta { id: Uuid(7), version: 2, lease_until: 30_000 },
                 SyncEntry::Full {
-                    advert: Advertisement {
+                    advert: Arc::new(Advertisement {
                         id: Uuid(8),
                         provider: NodeId(3),
                         description: Description::Uri("urn:svc:chat".into()),
                         version: 1,
-                    },
+                    }),
                     lease_until: 45_000,
                 },
             ],
@@ -971,7 +974,7 @@ mod tests {
 
     #[test]
     fn round_trip_publish_ops() {
-        let advert = Advertisement {
+        let advert = Arc::new(Advertisement {
             id: Uuid(42),
             provider: NodeId(3),
             description: Description::Semantic(
@@ -981,7 +984,7 @@ mod tests {
                     .with_qos(QosKey::Accuracy, 0.75),
             ),
             version: 3,
-        };
+        });
         rt(DiscoveryMessage::publishing(PublishOp::Publish { advert: advert.clone(), lease_ms: 15_000 }));
         rt(DiscoveryMessage::publishing(PublishOp::PublishAck { id: Uuid(42), lease_until: 99 }));
         rt(DiscoveryMessage::publishing(PublishOp::RenewLease { id: Uuid(42) }));
@@ -1034,7 +1037,7 @@ mod tests {
         rt(DiscoveryMessage::querying(QueryOp::QueryResponse {
             query_id: QueryId { origin: NodeId(5), seq: 77 },
             hits: vec![ResponseHit {
-                advert: Advertisement {
+                advert: Arc::new(Advertisement {
                     id: Uuid(1),
                     provider: NodeId(2),
                     description: Description::Template(DescriptionTemplate {
@@ -1043,7 +1046,7 @@ mod tests {
                         attrs: vec![("k".into(), "v".into())],
                     }),
                     version: 1,
-                },
+                }),
                 degree: Degree::PlugIn,
                 distance: 2,
             }],

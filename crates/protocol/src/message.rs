@@ -5,6 +5,8 @@
 //! description payload sits behind a [`ModelId`] next-header so the same
 //! distribution protocol carries every description model.
 
+use std::sync::Arc;
+
 use sds_semantic::{ClassId, Degree, ServiceProfile, ServiceRequest};
 use sds_simnet::{NodeId, SimTime};
 
@@ -116,7 +118,9 @@ impl QueryPayload {
     }
 }
 
-/// A published service advertisement.
+/// A published service advertisement. Immutable once built: messages and
+/// stores share one `Arc<Advertisement>` per advert, and an update replaces
+/// the `Arc` instead of mutating through it.
 #[derive(Clone, PartialEq, Debug)]
 pub struct Advertisement {
     pub id: AdvertId,
@@ -158,7 +162,7 @@ pub struct QueryMessage {
 /// federation without re-evaluating.
 #[derive(Clone, PartialEq, Debug)]
 pub struct ResponseHit {
-    pub advert: Advertisement,
+    pub advert: Arc<Advertisement>,
     pub degree: Degree,
     pub distance: u32,
 }
@@ -225,7 +229,7 @@ pub enum MaintenanceOp {
 pub enum SyncEntry {
     /// First sight (or desync): the whole advertisement plus the origin's
     /// current lease deadline.
-    Full { advert: Advertisement, lease_until: SimTime },
+    Full { advert: Arc<Advertisement>, lease_until: SimTime },
     /// The receiver already holds this advert at `version`: only the lease
     /// heartbeat (and the version echo that proves it still applies) travel.
     Delta { id: AdvertId, version: u32, lease_until: SimTime },
@@ -235,7 +239,7 @@ pub enum SyncEntry {
 #[derive(Clone, PartialEq, Debug)]
 pub enum PublishOp {
     /// Publish an advertisement, requesting a lease of `lease_ms`.
-    Publish { advert: Advertisement, lease_ms: u64 },
+    Publish { advert: Arc<Advertisement>, lease_ms: u64 },
     /// Lease grant.
     PublishAck { id: AdvertId, lease_until: SimTime },
     /// Periodic lease renewal from the service node.
@@ -252,11 +256,11 @@ pub enum PublishOp {
     /// Explicit deregistration.
     Remove { id: AdvertId },
     /// Republish with updated content (e.g. changed coverage area).
-    Update { advert: Advertisement, lease_ms: u64 },
+    Update { advert: Arc<Advertisement>, lease_ms: u64 },
     /// Push advertisements to a replica: the full-copy replication of the
     /// clustered-registry baseline. Federated registries replicate by
     /// `SyncDigest`/`SyncDelta` instead and ignore this op.
-    ForwardAdverts { adverts: Vec<Advertisement> },
+    ForwardAdverts { adverts: Vec<Arc<Advertisement>> },
 }
 
 /// Querying operations.
@@ -289,7 +293,7 @@ pub enum QueryOp {
     /// will need protocol support from the service discovery architecture").
     ComposeRequest { id: QueryId, request: sds_semantic::ServiceRequest, max_depth: u8 },
     /// The planned chain, in execution order (empty + found=false: no plan).
-    ComposeResponse { id: QueryId, found: bool, chain: Vec<Advertisement> },
+    ComposeResponse { id: QueryId, found: bool, chain: Vec<Arc<Advertisement>> },
 }
 
 /// The three operation categories.

@@ -87,14 +87,15 @@ mod tests {
     use crate::message::{Advertisement, Description, QueryId, QueryMessage, QueryPayload};
     use crate::uuid::Uuid;
     use sds_simnet::NodeId;
+    use std::sync::Arc;
 
-    fn advert() -> Advertisement {
-        Advertisement {
+    fn advert() -> Arc<Advertisement> {
+        Arc::new(Advertisement {
             id: Uuid(1),
             provider: NodeId(0),
             description: Description::Uri("urn:x".into()),
             version: 1,
-        }
+        })
     }
 
     #[test]

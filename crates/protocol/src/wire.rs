@@ -13,6 +13,7 @@ use crate::message::{
     Advertisement, Description, DescriptionTemplate, DiscoveryMessage, MaintenanceOp, Operation,
     PublishOp, QueryMessage, QueryOp, QueryPayload, ResponseHit, SyncEntry,
 };
+use sds_semantic::ServiceRequest;
 
 /// SOAP envelope + WS-Addressing headers common to every message.
 pub const SOAP_ENVELOPE_BYTES: u32 = 280;
@@ -81,16 +82,19 @@ impl WireSize for QueryPayload {
         match self {
             QueryPayload::Uri(u) => URI_DESC_BASE + u.len() as u32,
             QueryPayload::Template(t) => t.body_size(),
-            QueryPayload::Semantic(r) => {
-                REQUEST_BASE
-                    + CONCEPT_REF
-                        * (usize::from(r.category.is_some())
-                            + r.outputs.len()
-                            + r.provided_inputs.len()) as u32
-                    + QOS_ATTR * r.qos.len() as u32
-            }
+            QueryPayload::Semantic(r) => request_body_size(r),
         }
     }
+}
+
+/// Modeled size of a semantic request, whether it travels as a query
+/// payload or inside a `ComposeRequest`.
+fn request_body_size(r: &ServiceRequest) -> u32 {
+    REQUEST_BASE
+        + CONCEPT_REF
+            * (usize::from(r.category.is_some()) + r.outputs.len() + r.provided_inputs.len())
+                as u32
+        + QOS_ATTR * r.qos.len() as u32
 }
 
 impl WireSize for Advertisement {
@@ -171,7 +175,7 @@ impl WireSize for PublishOp {
             PublishOp::Remove { .. } => 48,
             PublishOp::Update { advert, .. } => 32 + advert.body_size(),
             PublishOp::ForwardAdverts { adverts } => {
-                24 + adverts.iter().map(WireSize::body_size).sum::<u32>()
+                24 + adverts.iter().map(|a| a.body_size()).sum::<u32>()
             }
         }
     }
@@ -190,11 +194,9 @@ impl WireSize for QueryOp {
             QueryOp::SubscribeAck { .. } => 56,
             QueryOp::Unsubscribe { .. } => 48,
             QueryOp::Notify { hit, .. } => 48 + hit.body_size(),
-            QueryOp::ComposeRequest { request, .. } => {
-                72 + QueryPayload::Semantic(request.clone()).body_size()
-            }
+            QueryOp::ComposeRequest { request, .. } => 72 + request_body_size(request),
             QueryOp::ComposeResponse { chain, .. } => {
-                56 + chain.iter().map(WireSize::body_size).sum::<u32>()
+                56 + chain.iter().map(|a| a.body_size()).sum::<u32>()
             }
         }
     }
@@ -261,18 +263,19 @@ mod tests {
     use super::*;
     use crate::message::QueryId;
     use crate::uuid::Uuid;
-    use sds_semantic::{ClassId, ServiceProfile};
+    use sds_semantic::{ClassId, QosKey, ServiceProfile};
     use sds_simnet::NodeId;
+    use std::sync::Arc;
 
-    fn semantic_advert(n_outputs: usize) -> Advertisement {
+    fn semantic_advert(n_outputs: usize) -> Arc<Advertisement> {
         let mut p = ServiceProfile::new("svc", ClassId(0));
         p.outputs = (0..n_outputs as u32).map(ClassId).collect();
-        Advertisement {
+        Arc::new(Advertisement {
             id: Uuid(1),
             provider: NodeId(0),
             description: Description::Semantic(p),
             version: 1,
-        }
+        })
     }
 
     #[test]
@@ -325,6 +328,22 @@ mod tests {
         let found = MaintenanceOp::ArtifactResponse { name: "ont".into(), found: true, size: 5_000 };
         let missing = MaintenanceOp::ArtifactResponse { name: "ont".into(), found: false, size: 5_000 };
         assert_eq!(found.body_size() - missing.body_size(), 5_000);
+    }
+
+    #[test]
+    fn compose_request_is_sized_like_the_semantic_query_payload() {
+        let request = ServiceRequest::for_category(ClassId(3))
+            .with_outputs(&[ClassId(1), ClassId(2)])
+            .with_provided_inputs(&[ClassId(4)])
+            .with_qos(QosKey::LatencyMs, 100.0);
+        let op = QueryOp::ComposeRequest {
+            id: QueryId { origin: NodeId(0), seq: 1 },
+            request: request.clone(),
+            max_depth: 3,
+        };
+        // The formula before the borrow-based helper: wrap a clone, size it.
+        assert_eq!(op.body_size(), 72 + QueryPayload::Semantic(request).body_size());
+        assert_eq!(op.body_size(), 72 + 150 + 90 * 4 + 110);
     }
 
     #[test]

@@ -2,6 +2,8 @@
 //! the codec, and decoding never panics on arbitrary bytes. Run under the
 //! in-workspace seeded harness (`sds_rand::check`).
 
+use std::sync::Arc;
+
 use sds_rand::check::{gen, Checker};
 use sds_rand::Rng;
 
@@ -76,13 +78,13 @@ fn arb_payload(rng: &mut Rng) -> QueryPayload {
     }
 }
 
-fn arb_advert(rng: &mut Rng) -> Advertisement {
-    Advertisement {
+fn arb_advert(rng: &mut Rng) -> Arc<Advertisement> {
+    Arc::new(Advertisement {
         id: Uuid(rng.gen_u128()),
         provider: NodeId(rng.gen_range(0..10_000u32)),
         description: arb_description(rng),
         version: rng.next_u32(),
-    }
+    })
 }
 
 fn arb_query_id(rng: &mut Rng) -> QueryId {

@@ -47,12 +47,12 @@ pub fn cache_key(payload: &QueryPayload, max_responses: Option<u16>) -> CacheKey
 const CACHE_ORIGIN: NodeId = NodeId(u32::MAX);
 
 struct CacheEntry {
-    seq: u64,
+    /// Kept for unindexing `entries` on removal.
+    key: CacheKey,
     /// Kept for unindexing on removal (the reverse index is keyed by what
     /// the payload constrains on).
     payload: QueryPayload,
     hits: Vec<ResponseHit>,
-    valid_until: SimTime,
 }
 
 /// Hit/miss/invalidation counters, for stats reporting and tests.
@@ -74,10 +74,13 @@ pub struct CacheStats {
 /// The cache proper. Not a shard: one per registry node, sitting in front of
 /// whatever engine evaluates misses.
 pub struct QueryCache {
-    entries: HashMap<CacheKey, CacheEntry>,
-    /// Insertion order → key, for FIFO eviction and seq → entry resolution
+    /// Key → `(insertion seq, valid_until)`: everything a lookup decides on
+    /// comes out of this one probe by copy, so a hit hashes the key once and
+    /// a lapsed entry can be dropped without a borrow of it in the way.
+    entries: HashMap<CacheKey, (u64, SimTime)>,
+    /// Insertion order → entry, for FIFO eviction and seq → entry resolution
     /// during reverse invalidation.
-    by_seq: BTreeMap<u64, CacheKey>,
+    by_seq: BTreeMap<u64, CacheEntry>,
     /// Reverse index over cached payloads, probed with published adverts.
     index: SubscriptionIndex,
     next_seq: u64,
@@ -112,16 +115,17 @@ impl QueryCache {
     }
 
     /// Looks up a cached result still valid at `now`. A hit is
-    /// byte-identical to what a fresh evaluation would return. An entry
-    /// whose validity has lapsed is dropped on the spot.
+    /// byte-identical to what a fresh evaluation would return (and shares
+    /// the store's advert allocations). An entry whose validity has lapsed
+    /// is dropped on the spot.
     pub fn get(&mut self, key: &CacheKey, now: SimTime) -> Option<&[ResponseHit]> {
         match self.entries.get(key) {
-            Some(e) if now < e.valid_until => {
+            Some(&(seq, valid_until)) if now < valid_until => {
                 self.stats.hits += 1;
-                Some(&self.entries[key].hits)
+                Some(&self.by_seq[&seq].hits)
             }
-            Some(_) => {
-                self.drop_entry(key.clone());
+            Some(&(seq, _)) => {
+                self.drop_seq(seq);
                 self.stats.expired += 1;
                 self.stats.misses += 1;
                 None
@@ -146,15 +150,15 @@ impl QueryCache {
         now: SimTime,
         slack: SimTime,
     ) -> Option<&[ResponseHit]> {
-        let e = self.entries.get(key)?;
-        if now < e.valid_until {
+        let &(seq, valid_until) = self.entries.get(key)?;
+        if now < valid_until {
             self.stats.hits += 1;
-        } else if now < e.valid_until.saturating_add(slack) {
+        } else if now < valid_until.saturating_add(slack) {
             self.stats.stale_hits += 1;
         } else {
             return None;
         }
-        Some(&self.entries[key].hits)
+        Some(&self.by_seq[&seq].hits)
     }
 
     /// Caches one evaluated result. `valid_until` must come from the
@@ -172,24 +176,20 @@ impl QueryCache {
         if self.capacity == 0 || now >= valid_until {
             return;
         }
-        if self.entries.contains_key(&key) {
-            self.drop_entry(key.clone());
+        if let Some(&(seq, _)) = self.entries.get(&key) {
+            self.drop_seq(seq);
         }
         while self.entries.len() >= self.capacity {
-            let (_, oldest) = self.by_seq.iter().next().map(|(s, k)| (*s, k.clone())).expect(
-                "entries nonempty ⇒ by_seq nonempty",
-            );
-            self.drop_entry(oldest);
+            let (&oldest, _) =
+                self.by_seq.first_key_value().expect("entries nonempty ⇒ by_seq nonempty");
+            self.drop_seq(oldest);
             self.stats.evicted += 1;
         }
         let seq = self.next_seq;
         self.next_seq += 1;
         self.index.insert(QueryId { origin: CACHE_ORIGIN, seq }, payload);
-        self.by_seq.insert(seq, key.clone());
-        self.entries.insert(
-            key,
-            CacheEntry { seq, payload: payload.clone(), hits, valid_until },
-        );
+        self.by_seq.insert(seq, CacheEntry { key: key.clone(), payload: payload.clone(), hits });
+        self.entries.insert(key, (seq, valid_until));
     }
 
     /// Drops every cached result `advert` could affect — the queries whose
@@ -204,13 +204,7 @@ impl QueryCache {
         idx: Option<&SubsumptionIndex>,
     ) -> usize {
         let affected = self.index.candidates(advert, idx);
-        let mut dropped = 0;
-        for qid in affected {
-            if let Some(key) = self.by_seq.get(&qid.seq).cloned() {
-                self.drop_entry(key);
-                dropped += 1;
-            }
-        }
+        let dropped = affected.into_iter().filter(|qid| self.drop_seq(qid.seq)).count();
         self.stats.invalidated += dropped as u64;
         dropped
     }
@@ -219,18 +213,17 @@ impl QueryCache {
     /// so dead entries do not linger until their next lookup. Returns how
     /// many entries were dropped.
     pub fn sweep(&mut self, now: SimTime) -> usize {
-        let dead: Vec<CacheKey> = self
+        let dead: Vec<u64> = self
             .entries
-            .iter()
-            .filter(|(_, e)| now >= e.valid_until)
-            .map(|(k, _)| k.clone())
+            .values()
+            .filter(|&&(_, valid_until)| now >= valid_until)
+            .map(|&(seq, _)| seq)
             .collect();
-        let n = dead.len();
-        for key in dead {
-            self.drop_entry(key);
+        for &seq in &dead {
+            self.drop_seq(seq);
         }
-        self.stats.expired += n as u64;
-        n
+        self.stats.expired += dead.len() as u64;
+        dead.len()
     }
 
     /// Drops everything (restart: cached soft state does not survive).
@@ -240,11 +233,14 @@ impl QueryCache {
         self.index.clear();
     }
 
-    fn drop_entry(&mut self, key: CacheKey) {
-        if let Some(e) = self.entries.remove(&key) {
-            self.by_seq.remove(&e.seq);
-            self.index.remove(QueryId { origin: CACHE_ORIGIN, seq: e.seq }, &e.payload);
-        }
+    /// Drops the entry inserted as `seq`; `false` when it is already gone.
+    fn drop_seq(&mut self, seq: u64) -> bool {
+        let Some(e) = self.by_seq.remove(&seq) else {
+            return false;
+        };
+        self.entries.remove(&e.key);
+        self.index.remove(QueryId { origin: CACHE_ORIGIN, seq }, &e.payload);
+        true
     }
 }
 
@@ -253,15 +249,16 @@ mod tests {
     use super::*;
     use sds_protocol::{Description, Uuid};
     use sds_semantic::{Degree, Ontology, ServiceProfile, ServiceRequest};
+    use std::sync::Arc;
 
     fn uri_hit(id: u128, uri: &str) -> ResponseHit {
         ResponseHit {
-            advert: Advertisement {
+            advert: Arc::new(Advertisement {
                 id: Uuid(id),
                 provider: NodeId(1),
                 description: Description::Uri(uri.into()),
                 version: 1,
-            },
+            }),
             degree: Degree::Exact,
             distance: 0,
         }

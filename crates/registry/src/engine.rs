@@ -286,9 +286,61 @@ mod tests {
     }
 
     #[test]
+    fn a_multi_homed_advert_is_one_allocation_from_publish_to_cache_hit() {
+        use crate::{cache_key, QueryCache, ShardRouter};
+        // Eight disjoint trees: their components spread over the four shards,
+        // so some (category, output) pair has two home shards.
+        let mut o = Ontology::new();
+        let roots: Vec<_> = (0..8).map(|i| o.class(&format!("T{i}"), &[])).collect();
+        let idx = Arc::new(SubsumptionIndex::build(&o));
+        let router = ShardRouter::new(4, Some(&idx));
+        let (category, output, published) = roots
+            .iter()
+            .flat_map(|&c| roots.iter().map(move |&out| (c, out)))
+            .map(|(c, out)| {
+                let advert = Advertisement {
+                    id: Uuid(1),
+                    provider: NodeId(1),
+                    description: Description::Semantic(
+                        ServiceProfile::new("s", c).with_outputs(&[out]),
+                    ),
+                    version: 1,
+                };
+                (c, out, Arc::new(advert))
+            })
+            .find(|(_, _, a)| router.home_mask(a).count_ones() == 2)
+            .expect("eight components do not all hash to one of four shards");
+
+        let mut e = ShardedEngine::new(LeasePolicy::default(), 4, Some(&idx));
+        e.register_evaluator(Box::new(SemanticEvaluator::new(idx)));
+        e.publish(published.clone(), NodeId(1), 0, 60_000);
+        assert!(Arc::ptr_eq(&e.store().get(&Uuid(1)).unwrap().advert, &published));
+        // Ours plus one per home shard: neither shard holds a private copy.
+        assert_eq!(Arc::strong_count(&published), 1 + 2);
+
+        // The category query routes to one home shard, the output query to
+        // the other; both hand out the published allocation, and so does a
+        // cache hit afterwards.
+        let mut cache = QueryCache::new(4);
+        for request in [
+            ServiceRequest::for_category(category),
+            ServiceRequest::default().with_outputs(&[output]),
+        ] {
+            let q = query(QueryPayload::Semantic(request), None);
+            let (hits, valid_until) = e.evaluate_with_validity(&q, 10);
+            assert_eq!(hits.len(), 1);
+            assert!(Arc::ptr_eq(&hits[0].advert, &published));
+            let key = cache_key(&q.payload, q.max_responses);
+            cache.insert(key.clone(), &q.payload, hits, valid_until, 10);
+            let served = cache.get(&key, 20).expect("inserted above");
+            assert!(Arc::ptr_eq(&served[0].advert, &published));
+        }
+    }
+
+    #[test]
     fn rank_hits_orders_deterministically() {
         let mk = |id: u128, degree: Degree, distance: u32| ResponseHit {
-            advert: uri_advert(id, "urn:x"),
+            advert: uri_advert(id, "urn:x").into(),
             degree,
             distance,
         };

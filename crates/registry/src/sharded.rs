@@ -30,6 +30,7 @@
 //! the `shard_props` sweep).
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use sds_protocol::{Advertisement, AdvertId, ModelId, QueryMessage, QueryPayload, ResponseHit};
 use sds_semantic::{Artifact, ArtifactRepository, ClassId, SubsumptionIndex};
@@ -192,11 +193,13 @@ impl ShardedEngine {
     /// requested-duration rules.
     pub fn publish(
         &mut self,
-        advert: Advertisement,
+        advert: impl Into<Arc<Advertisement>>,
         source: NodeId,
         now: SimTime,
         requested_lease_ms: u64,
     ) -> (PublishOutcome, SimTime) {
+        // One allocation, shared by every home shard.
+        let advert: Arc<Advertisement> = advert.into();
         let lease_until = self.lease_policy.grant(now, requested_lease_ms);
         let id = advert.id;
         let new_mask = self.router.home_mask(&advert);
@@ -538,10 +541,10 @@ impl ShardedEngine {
         request: &sds_semantic::ServiceRequest,
         now: SimTime,
         max_depth: usize,
-    ) -> Option<Vec<Advertisement>> {
+    ) -> Option<Vec<Arc<Advertisement>>> {
         let evaluator = self.evaluators.get(&ModelId::Semantic)?;
         let index = evaluator.subsumption_index()?;
-        let mut live: Vec<(&Advertisement, &sds_semantic::ServiceProfile)> = self
+        let mut live: Vec<(&Arc<Advertisement>, &sds_semantic::ServiceProfile)> = self
             .store()
             .live(now)
             .filter_map(|s| match &s.advert.description {

@@ -5,6 +5,7 @@
 
 use std::cmp::Reverse;
 use std::collections::{BTreeSet, BinaryHeap, HashMap};
+use std::sync::Arc;
 
 use sds_protocol::{AdvertId, Advertisement, Description, ModelId, QueryPayload};
 use sds_semantic::{ClassId, SubsumptionIndex};
@@ -53,7 +54,9 @@ impl LeasePolicy {
 /// One stored advertisement with its registry information model record.
 #[derive(Clone, Debug)]
 pub struct StoredAdvert {
-    pub advert: Advertisement,
+    /// Shared with every hit, cache entry and message that carries this
+    /// advert; an update replaces the `Arc`, never mutates through it.
+    pub advert: Arc<Advertisement>,
     /// The node the publish physically came from (usually the provider, but
     /// replication forwards on behalf of others).
     pub source: NodeId,
@@ -235,15 +238,17 @@ impl RegistryStore {
         generation
     }
 
-    /// Publishes or updates an advertisement.
+    /// Publishes or updates an advertisement. Content is compared
+    /// structurally: an equal advert in a fresh allocation is `Unchanged`.
     pub fn publish(
         &mut self,
-        advert: Advertisement,
+        advert: impl Into<Arc<Advertisement>>,
         source: NodeId,
         now: SimTime,
         lease_until: SimTime,
         requested_lease_ms: u64,
     ) -> PublishOutcome {
+        let advert: Arc<Advertisement> = advert.into();
         let id = advert.id;
         let Some(existing) = self.adverts.get_mut(&id) else {
             self.index.insert(id, &advert);

@@ -1,43 +1,57 @@
-//! Allocation audit for batched evaluation's duplicate handling.
+//! Allocation audit for the two places a ranked result is handed on
+//! without being copied.
 //!
 //! `evaluate_batch` coalesces identical in-flight queries to one evaluation
 //! and returns duplicates as slot indices into the unique results — it used
 //! to deep-clone the result vector once per duplicate, so a 1000-way
-//! coalesced burst paid 1000 copies of every ranked hit. This binary
-//! installs a counting global allocator and pins the fix: growing a burst
-//! by duplicates only must cost O(1) small allocations per duplicate (the
+//! coalesced burst paid 1000 copies of every ranked hit. Growing a burst by
+//! duplicates only must cost O(1) small allocations per duplicate (the
 //! coalescing key), nothing proportional to the hit vectors.
 //!
-//! One `#[test]` because the counter is process-global and the libtest
-//! harness runs separate tests on concurrent threads.
+//! A cache hit hands out `Arc<Advertisement>` references to the store's own
+//! adverts — it used to deep-clone every hit's description. Serving a cached
+//! result must allocate the same number of blocks however many hits it has
+//! and however large their profiles are.
+//!
+//! The counter is per thread, because the libtest harness runs separate
+//! tests on concurrent threads; both audits keep the engine on the calling
+//! thread (`workers = 1`).
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 use std::sync::Arc;
 
 use sds_protocol::{
     Advertisement, Description, QueryId, QueryMessage, QueryPayload, Uuid,
 };
 use sds_registry::{
-    LeasePolicy, SemanticEvaluator, ShardedEngine, TemplateEvaluator, UriEvaluator,
+    cache_key, LeasePolicy, QueryCache, SemanticEvaluator, ShardedEngine, TemplateEvaluator,
+    UriEvaluator,
 };
-use sds_semantic::{Ontology, ServiceProfile, ServiceRequest, SubsumptionIndex};
+use sds_semantic::{Ontology, QosKey, ServiceProfile, ServiceRequest, SubsumptionIndex};
 use sds_simnet::NodeId;
 
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Const-initialised and without a destructor: reading it never allocates.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.alloc(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         System.dealloc(ptr, layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -45,8 +59,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
+/// Blocks allocated so far on the calling thread.
 fn allocations() -> u64 {
-    ALLOCS.load(Ordering::Relaxed)
+    ALLOCS.with(Cell::get)
 }
 
 /// A small taxonomy with one category whose services all match a
@@ -67,7 +82,9 @@ fn engine_with_hits(hits: usize) -> (ShardedEngine, QueryPayload) {
             id: Uuid(i as u128 + 1),
             provider: NodeId(i as u32),
             description: Description::Semantic(
-                ServiceProfile::new(format!("svc{i}"), leaf).with_outputs(&[leaf]),
+                ServiceProfile::new(format!("svc{i}"), leaf)
+                    .with_outputs(&[leaf])
+                    .with_qos(QosKey::LatencyMs, 5.0),
             ),
             version: 1,
         };
@@ -126,16 +143,48 @@ fn coalesced_duplicates_do_not_clone_result_vectors() {
     // The two bursts differ only in duplicate count: same unique query, same
     // hits. Each extra duplicate may cost the coalescing key encoding (one
     // Vec<u8>) and amortized table growth — call it 4 small allocations of
-    // slack — but must NOT re-clone the 64-hit result vector, whose semantic
-    // profiles alone would dwarf that budget (each hit clones a name String
-    // plus output/input vectors, ~4+ allocations per hit).
+    // slack — and nothing that grows with the 64-hit result. (With adverts
+    // behind `Arc`, re-cloning the result vector is one block per duplicate
+    // and hides inside that slack; the pointer check above is what pins it.)
     let extra = (BIG - SMALL) as u64;
     let per_duplicate_budget = 4 * extra;
     assert!(
         big_allocs <= small_allocs + per_duplicate_budget,
         "duplicate growth allocated too much: {SMALL}-burst cost {small_allocs}, \
-         {BIG}-burst cost {big_allocs}, budget {per_duplicate_budget} over the small burst \
-         (a per-duplicate deep clone would cost ~{} allocations)",
-        extra * (HITS as u64) * 4
+         {BIG}-burst cost {big_allocs}, budget {per_duplicate_budget} over the small burst"
+    );
+}
+
+#[test]
+fn serving_a_cached_result_allocates_independently_of_its_hits() {
+    // Every profile owns three heap blocks (name, outputs, QoS), so a deep
+    // clone of k hits costs 3k blocks on top of the result vector.
+    let mut served = Vec::new();
+    for hits in [1usize, 32, 320] {
+        let (engine, payload) = engine_with_hits(hits);
+        let query = &burst(&payload, 1)[0];
+        let (ranked, valid_until) = engine.evaluate_with_validity(query, 1);
+        assert_eq!(ranked.len(), hits);
+        let mut cache = QueryCache::new(4);
+        let key = cache_key(&query.payload, query.max_responses);
+        cache.insert(key.clone(), &query.payload, ranked, valid_until, 1);
+
+        let before = allocations();
+        let response = cache.get(&key, 2).map(<[_]>::to_vec).expect("cached above");
+        served.push(allocations() - before);
+
+        assert_eq!(response.len(), hits);
+        let store = engine.store();
+        assert!(
+            response.iter().all(|h| {
+                Arc::ptr_eq(&h.advert, &store.get(&h.advert.id).expect("still stored").advert)
+            }),
+            "a served hit is the store's allocation, not a copy"
+        );
+    }
+    assert!(
+        served.iter().all(|n| n.abs_diff(served[0]) <= 1 && *n <= 2),
+        "serving 1, 32 and 320 cached hits allocated {served:?} blocks: the response vector \
+         and nothing per hit"
     );
 }

@@ -225,6 +225,44 @@ fn sharded_engine_matches_unsharded_at_every_shard_count() {
     });
 }
 
+/// Publish equality is structural, never pointer identity: sharing adverts
+/// behind `Arc` must not tempt anyone to compare allocations. An equal
+/// advert arriving in a fresh allocation (a decoded retransmission) is
+/// `Unchanged`; a same-version advert with different content is `Updated`.
+#[test]
+fn publish_compares_content_not_allocations() {
+    Checker::new("publish_compares_content_not_allocations").run(|rng| {
+        let ontology = arb_ontology(rng);
+        let ontology_len = ontology.len() as u32;
+        let idx = Arc::new(SubsumptionIndex::build(&ontology));
+        let advert = Advertisement {
+            id: Uuid(1),
+            provider: NodeId(1),
+            description: arb_description(rng, ontology_len),
+            version: rng.gen_range(0..3u32),
+        };
+        let changed = loop {
+            let description = arb_description(rng, ontology_len);
+            if description != advert.description {
+                break Advertisement { description, ..advert.clone() };
+            }
+        };
+        for &n in &SHARD_COUNTS {
+            let mut engine = sharded_engine(n, &idx);
+            let (first, twin) = (Arc::new(advert.clone()), Arc::new(advert.clone()));
+            assert!(!Arc::ptr_eq(&first, &twin));
+            let outcome = |e: &mut ShardedEngine, a: Arc<Advertisement>, now| {
+                e.publish(a, NodeId(1), now, 100).0
+            };
+            assert_eq!(outcome(&mut engine, first.clone(), 0), PublishOutcome::New);
+            assert_eq!(outcome(&mut engine, first, 1), PublishOutcome::Unchanged);
+            assert_eq!(outcome(&mut engine, twin, 2), PublishOutcome::Unchanged, "{n} shards");
+            let changed = Arc::new(changed.clone());
+            assert_eq!(outcome(&mut engine, changed, 3), PublishOutcome::Updated, "{n} shards");
+        }
+    });
+}
+
 #[test]
 fn batched_evaluation_coalesces_without_changing_results() {
     Checker::new("batched_evaluation_coalesces_without_changing_results").run(|rng| {

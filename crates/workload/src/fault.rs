@@ -254,12 +254,12 @@ mod tests {
         // A message with payload bytes (advert id, version): single-byte
         // flips inside those fields still decode, but to a different message.
         let msg = sds_protocol::DiscoveryMessage::publishing(sds_protocol::PublishOp::Publish {
-            advert: sds_protocol::Advertisement {
+            advert: std::sync::Arc::new(sds_protocol::Advertisement {
                 id: sds_protocol::Uuid(0xDEAD_BEEF),
                 provider: sds_simnet::NodeId(7),
                 description: sds_protocol::Description::Uri("urn:radar".into()),
                 version: 3,
-            },
+            }),
             lease_ms: 30_000,
         });
         let (mut delivered, mut dropped, mut changed) = (0u32, 0u32, 0u32);

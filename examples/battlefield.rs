@@ -146,12 +146,12 @@ fn main() {
         uri_desc.body_size(),
         Codec::new(Compression::BinaryXml).message_size(&DiscoveryMessage::publishing(
             sds_protocol::PublishOp::Publish {
-                advert: sds_protocol::Advertisement {
+                advert: Arc::new(sds_protocol::Advertisement {
                     id: sds_protocol::Uuid(1),
                     provider: warfighter,
                     description: radar_desc,
-                    version: 1
-                },
+                    version: 1,
+                }),
                 lease_ms: 30_000
             }
         )),

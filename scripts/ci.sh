@@ -16,6 +16,12 @@ cargo test -q --offline
 # benchmark run.
 cargo test --release --offline --manifest-path benchmark/Cargo.toml
 
+# Comparator smoke test: a committed results file compared with itself must
+# parse, find every seed-exact metric equal and every end-to-end metric
+# inside its bound. Comparing two revisions is a manual step (see the
+# script's header); the files under bench-results/ are what each PR ran it on.
+scripts/bench_compare.sh bench-results/8ab786b.results bench-results/8ab786b.results > /dev/null
+
 # Bounded chaos soak (quick mode): fixed 8-seed sweep of combined churn +
 # fault injection with post-heal convergence invariants. Deterministic, so
 # a red run here reproduces locally with the printed seed.

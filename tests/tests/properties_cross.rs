@@ -196,11 +196,13 @@ fn response_control_returns_a_prefix_of_the_unlimited_ranking() {
 fn arb_wire_message(rng: &mut Rng, n: u32) -> sds_protocol::DiscoveryMessage {
     use sds_protocol::{DiscoveryMessage, MaintenanceOp, PublishOp, QueryOp, ResponseHit, SyncEntry};
     use sds_semantic::Degree;
-    let advert = |rng: &mut Rng| Advertisement {
-        id: Uuid(rng.gen_u128()),
-        provider: NodeId(rng.gen_range(0..10u32)),
-        description: arb_description(rng, n),
-        version: rng.next_u32(),
+    let advert = |rng: &mut Rng| {
+        Arc::new(Advertisement {
+            id: Uuid(rng.gen_u128()),
+            provider: NodeId(rng.gen_range(0..10u32)),
+            description: arb_description(rng, n),
+            version: rng.next_u32(),
+        })
     };
     let qid = |rng: &mut Rng| QueryId {
         origin: NodeId(rng.gen_range(0..10u32)),
