@@ -24,13 +24,10 @@
 //! At the largest size the run asserts the byte budget (at most a fifth of
 //! what full-state push cost in the same world), staleness bounded near the
 //! sync cadence, and convergence within three cadences — so a regression
-//! fails the run. Bytes, staleness and convergence land in
-//! `target/bench-history.jsonl` (`f1/sync-wan-kib`,
-//! `f1/staleness-antientropy-s`, `f1/convergence-s`).
+//! fails the run.
 
 use std::collections::BTreeMap;
 
-use sds_bench::harness::Harness;
 use sds_bench::{f2, kib, Table};
 use sds_core::RegistryNode;
 use sds_metrics::StalenessTracker;
@@ -209,12 +206,5 @@ fn main() {
             "replicas must converge within three sync cadences of the last change, got {:?}",
             o.converged_after_ms
         );
-    }
-
-    let mut h = Harness::with_filter(None);
-    h.record_value("f1/sync-wan-kib", o.repl_bytes as f64 / 1024.0);
-    h.record_value("f1/staleness-antientropy-s", o.staleness_ms as f64 / 1_000.0);
-    if let Some(ms) = o.converged_after_ms {
-        h.record_value("f1/convergence-s", ms as f64 / 1_000.0);
     }
 }

@@ -30,7 +30,6 @@
 //! phase-locking with them; the bounded queue therefore always drains
 //! between a burst and the next synchronized renewal wave.
 
-use sds_bench::harness::Harness;
 use sds_bench::{f2, Table};
 use sds_core::{
     ClientNode, OverloadPolicy, QueryMode, QueryOptions, RegistryConfig, RegistryNode,
@@ -75,8 +74,8 @@ struct Shape {
     /// Absolute warmup: attach, publish, gossip-driven federation mesh
     /// closure, and anti-entropy replication all run unmetered, then
     /// capacity is installed and the plan starts. The full shape's value
-    /// comes from the `SDS_O1_DIAG` coverage sweep in [`run`]: every
-    /// replica holds the complete advert population by t≈100 s.
+    /// was measured: every replica holds the complete advert population
+    /// (coverage mean = min = 1.0) by t≈100 s.
     warmup: SimTime,
     /// Plan-relative storm window and demand horizon.
     storm_start: SimTime,
@@ -194,34 +193,6 @@ fn run(shape: &Shape, layered: bool, plan: &OverloadPlan, bound: SimTime) -> Run
     let mut s = build(shape, layered);
     s.sim.run_until(shape.warmup);
     let registries = s.registries.clone();
-    // Warmup calibration: `SDS_O1_DIAG=1` sweeps replica coverage (store
-    // size vs the full advert population) every 5 s from warmup and exits.
-    // At 230 LANs the federation mesh closes by *gossip* from one seed
-    // registry, so full replication is gated on mesh formation: coverage
-    // reaches mean=min=1.0 at t≈100 s, which is what sets the full shape's
-    // warmup. Probes assume converged replicas; this knob re-derives the
-    // number when the shape changes.
-    if std::env::var_os("SDS_O1_DIAG").is_some() {
-        let full = shape.lans * shape.services_per_lan;
-        for k in 0..20u64 {
-            s.sim.run_until(shape.warmup + k as SimTime * 5_000);
-            let (mut min, mut sum) = (usize::MAX, 0usize);
-            for &r in &registries {
-                let n = s.sim.handler::<RegistryNode>(r).expect("registry").engine().store().len();
-                min = min.min(n);
-                sum += n;
-            }
-            println!(
-                "diag t={}ms coverage mean {:.4} min {:.4} ({}/{} per registry)",
-                shape.warmup + k as SimTime * 5_000,
-                sum as f64 / (registries.len() * full) as f64,
-                min as f64 / full as f64,
-                min,
-                full,
-            );
-        }
-        std::process::exit(0);
-    }
     for &r in &registries {
         s.sim.set_node_capacity(r, Some(CAPACITY));
     }
@@ -412,7 +383,6 @@ fn main() {
         bound,
     );
 
-    let mut h = Harness::from_args();
     let baseline = run(&shape, false, &plan, bound);
     let layered = run(&shape, true, &plan, bound);
 
@@ -456,14 +426,6 @@ fn main() {
     );
 
     let (g_off, g_on) = (baseline.storm.goodput(), layered.storm.goodput());
-    h.record_value("o1/storm-goodput/baseline", g_off);
-    h.record_value("o1/storm-goodput/layered", g_on);
-    h.record_value(
-        "o1/storm-p95-s/layered",
-        layered.storm.latency_percentile(95) as f64 / 1e3,
-    );
-    h.record_value("o1/recovery-recall/layered", layered.recall_min);
-
     assert!(
         g_off < 0.6,
         "the storm must actually overwhelm the unprotected world (goodput {g_off:.2})"
@@ -497,5 +459,4 @@ fn main() {
         if g_off > 0.0 { g_on / g_off } else { f64::INFINITY },
         layered.recall_min,
     );
-    h.finish();
 }

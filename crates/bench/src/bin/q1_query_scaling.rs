@@ -9,13 +9,11 @@
 //! matchmaker, which is sublinear whenever queries are selective.
 //!
 //! This binary measures both paths on the same engine at store sizes
-//! 10²–10⁵ for all three description models, prints the EXPERIMENTS-style
-//! table, and (via the shared harness) appends every median to
-//! `target/bench-history.jsonl`, arming the order-of-magnitude regression
-//! gate for the next run. Selective workload: URI queries probe one exact
-//! URI; template queries one of 64 type URIs; semantic queries ask for a
-//! mid-level category covering 1/256 of the leaf classes of a 1364-class
-//! parametric taxonomy.
+//! 10²–10⁵ for all three description models (timed by the shared harness)
+//! and prints the EXPERIMENTS-style table. Selective workload: URI queries
+//! probe one exact URI; template queries one of 64 type URIs; semantic
+//! queries ask for a mid-level category covering 1/256 of the leaf classes
+//! of a 1364-class parametric taxonomy.
 
 use std::sync::Arc;
 
@@ -175,7 +173,7 @@ fn main() {
     println!(
         "\nExpectation: naive cost grows ~linearly with the store; indexed cost\n\
          tracks the candidate set (hits plus confirmations), so the gap widens\n\
-         with scale. Medians recorded to target/bench-history.jsonl."
+         with scale."
     );
     h.finish();
 }

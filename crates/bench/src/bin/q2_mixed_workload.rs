@@ -19,19 +19,16 @@
 //!   worker threads fanning each burst's per-shard queues in parallel.
 //!
 //! Reported per configuration: sustained queries/s plus p50/p99 per-query
-//! latency; mean and p99 seconds go to `target/bench-history.jsonl` via the
-//! shared harness, arming its order-of-magnitude regression flag. The binary
-//! also asserts the coalescing claim outright: a burst with N copies of a
-//! query costs exactly one evaluation per distinct (payload, cap) pair, and
-//! every configuration returns byte-identical hits for a probe query. In
-//! full mode on ≥4-core machines, it further asserts the parallel win: ≥2×
-//! queries/s at 4 workers vs 1 at 10⁵ adverts (never checked on narrower
-//! machines — there is nothing to win there).
+//! latency. The binary also asserts the coalescing claim outright: a burst
+//! with N copies of a query costs exactly one evaluation per distinct
+//! (payload, cap) pair, and every configuration returns byte-identical hits
+//! for a probe query. In full mode on ≥4-core machines, it further asserts
+//! the parallel win: ≥2× queries/s at 4 workers vs 1 at 10⁵ adverts (never
+//! checked on narrower machines — there is nothing to win there).
 
 use std::sync::Arc;
 use std::time::Instant;
 
-use sds_bench::harness::Harness;
 use sds_bench::{f2, Table};
 use sds_protocol::{
     Advertisement, Description, DescriptionTemplate, QueryId, QueryMessage, QueryPayload, Uuid,
@@ -274,7 +271,6 @@ fn main() {
     let sizes: &[usize] = if quick { &[1_000] } else { &[10_000, 100_000] };
     let bursts_per_run = if quick { 8 } else { 32 };
 
-    let mut h = Harness::from_args();
     let mut table = Table::new(&[
         "store size",
         "configuration",
@@ -325,8 +321,6 @@ fn main() {
             let mean = stats.mean();
             let p50 = stats.percentile(0.50);
             let p99 = stats.percentile(0.99);
-            h.record_value(&format!("q2/{name}/{n}/mean"), mean);
-            h.record_value(&format!("q2/{name}/{n}/p99"), p99);
             table.row(&[
                 n.to_string(),
                 name.to_string(),
@@ -360,8 +354,6 @@ fn main() {
             let mut stats = run_sharded(&mut engine, &bursts, true);
             let name = format!("batch/s{s}w{w}");
             let mean = stats.mean();
-            h.record_value(&format!("q2/{name}/{n}/mean"), mean);
-            h.record_value(&format!("q2/{name}/{n}/p99"), stats.percentile(0.99));
             table.row(&[
                 n.to_string(),
                 name,
@@ -406,7 +398,6 @@ fn main() {
         "\nExpectation: batching coalesces the burst's duplicate queries to one\n\
          evaluation per distinct payload and memoizes taxonomy walks; the edge\n\
          cache amortizes repeats across bursts until leases or churn invalidate\n\
-         them. Mean and p99 recorded to target/bench-history.jsonl."
+         them."
     );
-    h.finish();
 }

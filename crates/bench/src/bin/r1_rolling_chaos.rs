@@ -19,12 +19,9 @@
 //!   signaling gossip, seed retry).
 //!
 //! Per-window recovery times aggregate over ≥8 seeds; a window that never
-//! recovers within the sampled gap is charged the full gap. Mean recovery lands in
-//! `target/bench-history.jsonl` (benches `r1/recovery-selfheal`,
-//! `r1/recovery-passive`) so CI's regression flag guards them.
+//! recovers within the sampled gap is charged the full gap.
 
 use sds_bench::{f2, Table};
-use sds_bench::harness::Harness;
 use sds_metrics::Summary;
 use sds_workload::{run_rolling, RollingChaosConfig, RollingReport};
 
@@ -56,7 +53,6 @@ fn main() {
         "peers reinstated",
     ]);
 
-    let mut means = Vec::new();
     for healing in [true, false] {
         // Seeds are independent simulations: fan them across cores and
         // merge in seed order (deterministic aggregate regardless of
@@ -90,18 +86,8 @@ fn main() {
             retries.to_string(),
             reinstated.to_string(),
         ]);
-        means.push((label, sum.mean));
     }
 
     println!("R1: recovery time under rolling chaos ({seeds} seeds, 3 windows each)");
     println!("{}", table.render());
-
-    let mut h = Harness::with_filter(None);
-    for (label, mean) in means {
-        let name = match label {
-            "self-healing" => "r1/recovery-selfheal",
-            _ => "r1/recovery-passive",
-        };
-        h.record_value(name, mean);
-    }
 }

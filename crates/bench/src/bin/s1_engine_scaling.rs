@@ -18,22 +18,16 @@
 //!   engine (`PartitionPlan::Domains(W)`, W worker threads). The `≥ 2×`
 //!   speedup acceptance check runs only in full mode on machines with at
 //!   least 4 cores — on smaller machines the ratio is still measured and
-//!   recorded, just not asserted;
+//!   printed, just not asserted;
 //! * **scale** — up to 10⁶ nodes (S2's table). The million-node run also
 //!   reports resident bytes per node (RSS delta across build + run), the
 //!   number the struct-of-arrays node state is accountable to. Quick mode
 //!   smoke-runs 10⁶ over a shortened horizon so CI can afford it.
-//!
-//! Seconds-per-event, clones-per-delivery, engine speedups, and bytes/node
-//! land in `target/bench-history.jsonl` (names `s1/...`), arming the
-//! order-of-magnitude regression flag and the per-PR `BENCH_<rev>.json`
-//! export.
 
 use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-use sds_bench::harness::Harness;
 use sds_bench::{f2, Table};
 use sds_simnet::{
     Ctx, Destination, NodeHandler, NodeId, PartitionPlan, Sim, SimConfig, SimTime, Topology,
@@ -235,7 +229,6 @@ fn engine_label(plan: PartitionPlan, workers: usize) -> String {
 fn main() {
     let quick = std::env::var_os("SDS_BENCH_QUICK").is_some();
 
-    let mut h = Harness::from_args();
     let mut table = Table::new(&[
         "engine",
         "mode",
@@ -249,13 +242,12 @@ fn main() {
         "rss bytes/node",
     ]);
 
-    let run_row = |spec: &Spec, mode: &str, table: &mut Table, h: &mut Harness| -> f64 {
+    let run_row = |spec: &Spec, mode: &str, table: &mut Table| -> f64 {
         let r = run_one(spec);
         let evps = r.events as f64 / r.wall_s;
         let cpd = r.clones as f64 / r.deliveries.max(1) as f64;
-        let engine = engine_label(spec.plan, spec.workers);
         table.row(&[
-            engine.clone(),
+            engine_label(spec.plan, spec.workers),
             mode.to_string(),
             spec.n.to_string(),
             spec.n.div_ceil(LAN_SIZE).to_string(),
@@ -266,23 +258,6 @@ fn main() {
             format!("{:.0}", cpd * PAYLOAD_BYTES as f64),
             r.rss_bytes_per_node.to_string(),
         ]);
-        // Historical names (seq × mode) keep their original `s1/<mode>/...`
-        // form so bench-history stays one continuous series; the engine
-        // dimension and the million-node metrics get their own names.
-        if spec.plan == PartitionPlan::Single {
-            h.record_value(&format!("s1/{mode}/{}/sec-per-event", spec.n), r.wall_s / r.events as f64);
-            h.record_value(&format!("s1/{mode}/{}/clones-per-delivery", spec.n), cpd);
-        } else {
-            h.record_value(
-                &format!("s1/engine/{engine}/{}/sec-per-event", spec.n),
-                r.wall_s / r.events as f64,
-            );
-        }
-        if spec.n >= MILLION {
-            h.record_value("s1/million/sec-per-event", r.wall_s / r.events as f64);
-            h.record_value("s1/million/clones-per-delivery", cpd);
-            h.record_value("s1/million/rss-bytes-per-node", r.rss_bytes_per_node as f64);
-        }
         evps
     };
 
@@ -292,7 +267,7 @@ fn main() {
         for &n in sizes {
             let spec =
                 Spec { n, shared, plan: PartitionPlan::Single, workers: 1, horizon: None };
-            run_row(&spec, mode, &mut table, &mut h);
+            run_row(&spec, mode, &mut table);
         }
     }
 
@@ -305,7 +280,7 @@ fn main() {
         workers: 1,
         horizon: None,
     };
-    let seq_evps = run_row(&seq_spec, "shared", &mut table, &mut h);
+    let seq_evps = run_row(&seq_spec, "shared", &mut table);
     let mut par4_evps = 0.0;
     for workers in [2usize, 4] {
         let spec = Spec {
@@ -315,11 +290,7 @@ fn main() {
             workers,
             horizon: None,
         };
-        let evps = run_row(&spec, "shared", &mut table, &mut h);
-        h.record_value(
-            &format!("s1/engine/par{workers}/{engine_n}/speedup-vs-seq"),
-            evps / seq_evps,
-        );
+        let evps = run_row(&spec, "shared", &mut table);
         if workers == 4 {
             par4_evps = evps;
         }
@@ -351,7 +322,7 @@ fn main() {
         workers: 4.min(cores.max(2)),
         horizon: Some(if quick { PERIOD / 8 } else { PERIOD + 1 }),
     };
-    run_row(&million_spec, "shared", &mut table, &mut h);
+    run_row(&million_spec, "shared", &mut table);
 
     table.print("S1: engine throughput on the multicast-heavy LAN discovery workload");
     println!(
@@ -359,7 +330,6 @@ fn main() {
          per {PERIOD} ms, a unicast reply every {REPLY_EVERY} deliveries. events = deliveries\n\
          + timer fires; clones/delivery is the allocation proxy (payload materializations\n\
          per delivered copy); rss bytes/node is the RSS delta across build + run divided\n\
-         by the node count. Values recorded to target/bench-history.jsonl."
+         by the node count."
     );
-    h.finish();
 }

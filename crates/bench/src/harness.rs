@@ -19,17 +19,9 @@
 //! substring filter over `group/name`; `SDS_BENCH_QUICK=1` cuts measurement
 //! time ~10× for smoke runs.
 //!
-//! Every measurement is also appended as one JSONL record to
-//! `target/bench-history.jsonl` (override the location with
-//! `SDS_BENCH_HISTORY=<path>`, disable with `SDS_BENCH_HISTORY=off`; tag
-//! records with a revision via `SDS_BENCH_REV`). When the history already
-//! holds a record for the same benchmark, a median more than 10× slower than
-//! the last recorded one is flagged on stderr — the order-of-magnitude
-//! regression gate this harness exists for.
+//! Nothing is written to disk: the repo's measured trajectory is the
+//! benchmark (`BENCHMARK.json`, `bench-results/`), not this harness.
 
-use std::collections::HashMap;
-use std::io::Write as _;
-use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 /// An identity function the optimizer must assume reads and writes its
@@ -77,137 +69,10 @@ impl Budget {
     }
 }
 
-/// Result history: where records append to, and the last recorded median per
-/// benchmark for regression flagging.
-struct History {
-    path: PathBuf,
-    rev: String,
-    last_median: HashMap<String, f64>,
-}
-
-/// Median regression threshold: flag only order-of-magnitude slowdowns, the
-/// scale this wall-clock harness can resolve reliably.
-const REGRESSION_FACTOR: f64 = 10.0;
-
-impl History {
-    /// Resolves the default history location: `SDS_BENCH_HISTORY` overrides
-    /// (`off`/`0`/empty disables), else `$CARGO_TARGET_DIR`, else the nearest
-    /// enclosing `target/` directory.
-    fn from_env() -> Option<Self> {
-        let path = match std::env::var_os("SDS_BENCH_HISTORY") {
-            Some(v) if v.is_empty() || v == "0" || v == "off" => return None,
-            Some(v) => PathBuf::from(v),
-            None => match std::env::var_os("CARGO_TARGET_DIR") {
-                Some(dir) => PathBuf::from(dir).join("bench-history.jsonl"),
-                None => {
-                    let mut dir = std::env::current_dir().ok()?;
-                    loop {
-                        let t = dir.join("target");
-                        if t.is_dir() {
-                            break t.join("bench-history.jsonl");
-                        }
-                        if !dir.pop() {
-                            return None;
-                        }
-                    }
-                }
-            },
-        };
-        Some(Self::at(path))
-    }
-
-    /// A history anchored at `path`, preloading the last median per bench
-    /// from any existing records.
-    fn at(path: PathBuf) -> Self {
-        let rev = std::env::var("SDS_BENCH_REV").unwrap_or_else(|_| "unknown".to_string());
-        let mut last_median = HashMap::new();
-        if let Ok(body) = std::fs::read_to_string(&path) {
-            for line in body.lines() {
-                if let (Some(bench), Some(median)) =
-                    (json_str_field(line, "bench"), json_num_field(line, "median_s"))
-                {
-                    // Later lines win: the map ends up holding the last run.
-                    last_median.insert(bench, median);
-                }
-            }
-        }
-        Self { path, rev, last_median }
-    }
-
-    /// Appends one record and flags an order-of-magnitude median regression
-    /// against the previous record for the same benchmark on stderr.
-    fn record(&self, bench: &str, m: &Measurement) {
-        if let Some(&prev) = self.last_median.get(bench) {
-            if prev > 0.0 && m.median > prev * REGRESSION_FACTOR {
-                eprintln!(
-                    "REGRESSION {bench}: median {} vs {} last run ({:.1}x slower)",
-                    fmt_seconds(m.median),
-                    fmt_seconds(prev),
-                    m.median / prev,
-                );
-            }
-        }
-        let line = format!(
-            "{{\"bench\":\"{}\",\"median_s\":{},\"min_s\":{},\"mean_s\":{},\"iters\":{},\"samples\":{},\"rev\":\"{}\"}}\n",
-            json_escape(bench),
-            m.median,
-            m.min,
-            m.mean,
-            m.iters,
-            m.samples,
-            json_escape(&self.rev),
-        );
-        let written = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&self.path)
-            .and_then(|mut f| f.write_all(line.as_bytes()));
-        if let Err(e) = written {
-            eprintln!("bench-history: cannot write {}: {e}", self.path.display());
-        }
-    }
-}
-
-/// Escapes the two JSON-significant characters our field values can carry.
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
-/// Extracts a string field from one hand-written JSONL record. Only handles
-/// the subset [`History::record`] emits — good enough to read our own lines.
-fn json_str_field(line: &str, key: &str) -> Option<String> {
-    let pat = format!("\"{key}\":\"");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    let mut out = String::new();
-    let mut chars = rest.chars();
-    while let Some(c) = chars.next() {
-        match c {
-            '"' => return Some(out),
-            '\\' => out.push(chars.next()?),
-            c => out.push(c),
-        }
-    }
-    None
-}
-
-/// Extracts a numeric field from one hand-written JSONL record.
-fn json_num_field(line: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\":");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || matches!(c, '.' | '-' | '+' | 'e' | 'E')))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// The top-level runner: owns the name filter, the output format, and the
-/// result history.
+/// The top-level runner: owns the name filter and the output format.
 pub struct Harness {
     filter: Option<String>,
     budget: Budget,
-    history: Option<History>,
     ran: usize,
 }
 
@@ -222,7 +87,7 @@ impl Harness {
 
     /// A runner with an explicit filter (`None` runs everything).
     pub fn with_filter(filter: Option<String>) -> Self {
-        Self { filter, budget: Budget::from_env(), history: History::from_env(), ran: 0 }
+        Self { filter, budget: Budget::from_env(), ran: 0 }
     }
 
     /// Opens a named benchmark group.
@@ -233,19 +98,6 @@ impl Harness {
     /// Prints the closing line; call once after the last group.
     pub fn finish(self) {
         println!("\n{} benchmark(s) run", self.ran);
-    }
-
-    /// Records an externally measured value (in seconds) into the bench
-    /// history under `name`, arming the same order-of-magnitude regression
-    /// flag as a timed benchmark. For experiment metrics that are not the
-    /// wall-clock time of a closure — e.g. simulated recovery times — where
-    /// the experiment binary already owns the measurement.
-    pub fn record_value(&mut self, name: &str, seconds: f64) {
-        let m =
-            Measurement { min: seconds, median: seconds, mean: seconds, iters: 1, samples: 1 };
-        if let Some(history) = &self.history {
-            history.record(name, &m);
-        }
     }
 
     fn run_one<F: FnMut(&mut Bencher)>(&mut self, full_name: &str, mut f: F) -> Option<Measurement> {
@@ -277,17 +129,13 @@ impl Harness {
             .collect();
         per_iter_samples.sort_by(f64::total_cmp);
         self.ran += 1;
-        let m = Measurement {
+        Some(Measurement {
             min: per_iter_samples[0],
             median: per_iter_samples[per_iter_samples.len() / 2],
             mean: per_iter_samples.iter().sum::<f64>() / per_iter_samples.len() as f64,
             iters: sample_iters,
             samples: budget.samples,
-        };
-        if let Some(history) = &self.history {
-            history.record(full_name, &m);
-        }
-        Some(m)
+        })
     }
 }
 
@@ -352,9 +200,7 @@ mod tests {
     fn quiet() -> Harness {
         let mut h = Harness::with_filter(None);
         // Tests must not depend on the wall clock: use the smallest budget.
-        // And they must not pollute the workspace's real history file.
         h.budget = Budget { calibration: Duration::from_micros(10), sample: Duration::from_micros(50), samples: 2 };
-        h.history = None;
         h
     }
 
@@ -398,56 +244,5 @@ mod tests {
         assert_eq!(fmt_seconds(2.5e-3), "2.500 ms");
         assert_eq!(fmt_seconds(2.5e-6), "2.500 us");
         assert_eq!(fmt_seconds(2.5e-8), "25.0 ns");
-    }
-
-    #[test]
-    fn json_field_extraction_round_trips() {
-        let line = "{\"bench\":\"g/na\\\"me\",\"median_s\":0.00025,\"iters\":12,\"rev\":\"abc\"}";
-        assert_eq!(json_str_field(line, "bench").as_deref(), Some("g/na\"me"));
-        assert_eq!(json_str_field(line, "rev").as_deref(), Some("abc"));
-        assert_eq!(json_num_field(line, "median_s"), Some(0.00025));
-        assert_eq!(json_num_field(line, "iters"), Some(12.0));
-        assert_eq!(json_num_field(line, "missing"), None);
-    }
-
-    #[test]
-    fn history_records_append_and_reload() {
-        let path = std::env::temp_dir()
-            .join(format!("sds-bench-history-test-{}.jsonl", std::process::id()));
-        let _ = std::fs::remove_file(&path);
-        let h = History {
-            path: path.clone(),
-            rev: "r1".into(),
-            last_median: HashMap::new(),
-        };
-        let m = Measurement { min: 1e-6, median: 2e-6, mean: 3e-6, iters: 100, samples: 5 };
-        h.record("grp/one", &m);
-        h.record("grp/one", &Measurement { median: 4e-6, ..m });
-        h.record("grp/two", &m);
-
-        let reloaded = History::at(path.clone());
-        assert_eq!(reloaded.last_median.get("grp/one"), Some(&4e-6), "last line wins");
-        assert_eq!(reloaded.last_median.get("grp/two"), Some(&2e-6));
-        let body = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(body.lines().count(), 3);
-        assert!(body.lines().all(|l| json_str_field(l, "rev").is_some()));
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn harness_writes_history_and_measurement_flows_back() {
-        let path = std::env::temp_dir()
-            .join(format!("sds-bench-harness-test-{}.jsonl", std::process::id()));
-        let _ = std::fs::remove_file(&path);
-        let mut h = quiet();
-        h.history = Some(History { path: path.clone(), rev: "unknown".into(), last_median: HashMap::new() });
-        let m = {
-            let mut g = h.group("grp");
-            g.bench("timed", |b| b.iter(|| black_box((0..64u64).sum::<u64>()))).unwrap()
-        };
-        assert!(m.median > 0.0);
-        let reloaded = History::at(path.clone());
-        assert_eq!(reloaded.last_median.get("grp/timed").copied(), Some(m.median));
-        let _ = std::fs::remove_file(&path);
     }
 }

@@ -9,12 +9,12 @@
 //! `tests/tests/engine_equivalence.rs`).
 //!
 //! Zero external dependencies, per the workspace policy: the fan-out runs
-//! on the shared scoped pool ([`sds_registry::pool`] — extracted from this
-//! module so the registry data plane can use the same mechanism inside a
-//! node handler), `std::thread::scope` workers pulling indices off one
-//! atomic cursor, writing each result into its own slot. Results come back
-//! in *input* order regardless of completion order, so downstream
-//! aggregation (tables, summaries, digests) is independent of scheduling.
+//! on the shared scoped pool ([`sds_simnet::pool`], the one the partitioned
+//! engine and the registry data plane use), `std::thread::scope` workers
+//! pulling indices off one atomic cursor, writing each result into its own
+//! slot. Results come back in *input* order regardless of completion order,
+//! so downstream aggregation (tables, summaries, digests) is independent of
+//! scheduling.
 //!
 //! Worker count: `SDS_BENCH_THREADS` if set (must be a positive integer —
 //! anything else aborts rather than silently benchmarking at the wrong
@@ -42,11 +42,26 @@
 /// harness, so it is now a hard error.
 pub fn workers() -> usize {
     match std::env::var("SDS_BENCH_THREADS") {
-        Ok(raw) => match sds_registry::pool::parse_workers(&raw) {
+        Ok(raw) => match parse_workers(&raw) {
             Ok(n) => n,
             Err(why) => panic!("invalid SDS_BENCH_THREADS={raw:?}: {why}"),
         },
         Err(_) => std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
+    }
+}
+
+/// Validates a worker-count override: a positive integer (surrounding
+/// whitespace tolerated). Split from [`workers`] so the rules are
+/// unit-testable without mutating process environment.
+fn parse_workers(raw: &str) -> Result<usize, String> {
+    let trimmed = raw.trim();
+    if trimmed.is_empty() {
+        return Err("empty value (unset the variable to use the configured count)".into());
+    }
+    match trimmed.parse::<usize>() {
+        Ok(0) => Err("worker count must be at least 1".into()),
+        Ok(n) => Ok(n),
+        Err(e) => Err(format!("not a worker count ({e})")),
     }
 }
 
@@ -77,7 +92,7 @@ where
     T: Send,
     F: Fn(usize, &I) -> T + Sync,
 {
-    sds_registry::pool::map_indexed(workers, items.len(), |i| f(i, &items[i]))
+    sds_simnet::pool::map_indexed(workers, items.len(), |i| f(i, &items[i]))
 }
 
 /// [`map`] over the seed range `0..n` — the common "run this experiment
@@ -139,6 +154,21 @@ mod tests {
     #[test]
     fn workers_is_positive() {
         assert!(workers() >= 1);
+    }
+
+    #[test]
+    fn workers_override_accepts_positive_integers() {
+        assert_eq!(parse_workers("1"), Ok(1));
+        assert_eq!(parse_workers("16"), Ok(16));
+        assert_eq!(parse_workers("  4 "), Ok(4), "surrounding whitespace tolerated");
+    }
+
+    #[test]
+    fn workers_override_rejects_zero_and_garbage() {
+        for bad in ["0", "", "  ", "four", "-2", "1.5", "2x", "0x4"] {
+            let got = parse_workers(bad);
+            assert!(got.is_err(), "{bad:?} must be rejected, got {got:?}");
+        }
     }
 
     #[test]

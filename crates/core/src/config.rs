@@ -234,23 +234,36 @@ impl Default for AttachConfig {
     }
 }
 
+/// How often a registry purges expired adverts and subscriptions.
+pub(crate) const PURGE_INTERVAL: SimTime = secs(1);
+/// Missed pongs before a federation peer is dropped (or, with
+/// [`RegistryConfig::probation`] enabled, suspected).
+pub(crate) const PEER_PING_TOLERANCE: u8 = 2;
+/// Retention for the query-id loop-avoidance cache.
+pub(crate) const SEEN_RETENTION: SimTime = secs(30);
+/// Digest buckets per anti-entropy round. More buckets mean finer mismatch
+/// localization (smaller deltas) at a linear digest cost.
+pub(crate) const SYNC_BUCKETS: u16 = 16;
+/// Capacity of the registry-edge query result cache (entries). Repeated
+/// identical queries are answered from the cache while every returned lease
+/// is still running, with publish/renew/remove invalidation keeping served
+/// bytes identical to a fresh evaluation.
+pub(crate) const QUERY_CACHE_CAPACITY: usize = 128;
+/// How often the query cache sweeps out entries whose validity lapsed.
+pub(crate) const CACHE_SWEEP_INTERVAL: SimTime = secs(5);
+
 /// Registry-node parameters.
 #[derive(Clone, Debug)]
 pub struct RegistryConfig {
     /// Beacon period (passive registry discovery); 0 disables beacons.
     pub beacon_interval: SimTime,
-    /// How often expired adverts are purged.
-    pub purge_interval: SimTime,
     /// WAN federation seed registries ("manual configuration, or seeding, is
     /// necessary at some point in time").
     pub seeds: Vec<NodeId>,
     /// Peer liveness ping period.
     pub peer_ping_interval: SimTime,
-    /// Missed pongs before a federation peer is dropped (or, with
-    /// `probation` enabled, suspected).
-    pub peer_ping_tolerance: u8,
     /// Peer probation policy. When enabled, a peer that exhausts
-    /// `peer_ping_tolerance` is *suspected* rather than evicted: it leaves
+    /// [`PEER_PING_TOLERANCE`] is *suspected* rather than evicted: it leaves
     /// the forwarding set but is re-pinged under this backoff policy, and
     /// only evicted after `max_retries` further silent attempts. A
     /// probationer that answers is reinstated and gets the registry's state
@@ -263,8 +276,6 @@ pub struct RegistryConfig {
     /// How long an adopting registry waits for federation responses before
     /// answering its client.
     pub response_window: SimTime,
-    /// Retention for the query-id loop-avoidance cache.
-    pub seen_retention: SimTime,
     /// Coordinate with co-located registries so only one forwards to the
     /// WAN (paper §4.7).
     pub gateway_election: bool,
@@ -280,9 +291,6 @@ pub struct RegistryConfig {
     /// queries hit locally at every registry at O(divergence) wire cost,
     /// converging through loss and partitions.
     pub sync_interval: SimTime,
-    /// Number of digest buckets per sync round. More buckets mean finer
-    /// mismatch localization (smaller deltas) at a linear digest cost.
-    pub sync_buckets: u16,
     /// Cap on peer endpoints carried by `FederationJoin`/`FederationAck`
     /// gossip, so peer-list payloads stay bounded on large federations.
     pub gossip_peer_cap: usize,
@@ -299,14 +307,6 @@ pub struct RegistryConfig {
     /// keeps evaluation on the node's thread, bit-for-bit the historical
     /// path. Only pays off when `shard_count > 1` spreads the work.
     pub data_plane_workers: usize,
-    /// Capacity of the registry-edge query result cache (entries). Repeated
-    /// identical queries are answered from the cache while every returned
-    /// lease is still running, with publish/renew/remove invalidation keeping
-    /// served bytes identical to a fresh evaluation. 0 disables caching.
-    pub query_cache_capacity: usize,
-    /// How often the query cache sweeps out entries whose validity lapsed
-    /// (0 disables the sweep; lapsed entries then die lazily on lookup).
-    pub cache_sweep_interval: SimTime,
     /// Overload control: admission, backpressure, and graceful degradation.
     /// Disabled by default; see [`OverloadPolicy`].
     pub overload: OverloadPolicy,
@@ -323,24 +323,18 @@ impl Default for RegistryConfig {
     fn default() -> Self {
         Self {
             beacon_interval: secs(5),
-            purge_interval: secs(1),
             seeds: Vec::new(),
             peer_ping_interval: secs(5),
-            peer_ping_tolerance: 2,
             probation: RetryPolicy::passive(),
             signaling_interval: secs(15),
             strategy: ForwardStrategy::default(),
             response_window: 500,
-            seen_retention: secs(30),
             gateway_election: true,
             transitive_peering: true,
             sync_interval: secs(10),
-            sync_buckets: 16,
             gossip_peer_cap: 64,
             shard_count: 1,
             data_plane_workers: 1,
-            query_cache_capacity: 128,
-            cache_sweep_interval: secs(5),
             overload: OverloadPolicy::disabled(),
             models: vec![ModelId::Uri, ModelId::Template, ModelId::Semantic],
             lease_policy: sds_registry::LeasePolicy::default(),
@@ -460,7 +454,7 @@ mod tests {
         let q = QueryOptions::default();
         assert!(q.timeout > r.response_window, "client must outwait aggregation");
         // Anti-entropy on by default, with sane digest geometry.
-        assert!(r.sync_interval > 0 && r.sync_buckets > 0);
+        assert!(r.sync_interval > 0);
         // The parallel data plane defaults to the sequential path: one
         // shard, one worker — bit-for-bit the historical engine.
         assert_eq!(r.shard_count, 1);

@@ -35,7 +35,10 @@ use sds_registry::{
 use sds_semantic::{Artifact, ClassId, SubsumptionIndex};
 use sds_simnet::{Ctx, Destination, NodeId, NodeHandler, Rng, SimTime, TimerId};
 
-use crate::config::{ForwardStrategy, RegistryConfig};
+use crate::config::{
+    ForwardStrategy, RegistryConfig, CACHE_SWEEP_INTERVAL, PEER_PING_TOLERANCE, PURGE_INTERVAL,
+    QUERY_CACHE_CAPACITY, SEEN_RETENTION, SYNC_BUCKETS,
+};
 use crate::util::{send_msg, tags};
 
 /// The fixed wire size of a [`SyncEntry::Delta`] body (id, version, lease):
@@ -209,21 +212,19 @@ pub struct RegistryNode {
 impl RegistryNode {
     pub fn new(cfg: RegistryConfig, semantic_index: Option<Arc<SubsumptionIndex>>) -> Self {
         let engine = Self::fresh_engine(&cfg, &semantic_index);
-        let seen_retention = cfg.seen_retention;
-        let query_cache = QueryCache::new(cfg.query_cache_capacity);
         Self {
             cfg,
             semantic_index,
             artifacts: Vec::new(),
             engine,
-            query_cache,
+            query_cache: QueryCache::new(QUERY_CACHE_CAPACITY),
             peers: BTreeMap::new(),
             sync: BTreeMap::new(),
             probation: BTreeMap::new(),
             probation_rng: None,
             overload: OverloadState::default(),
             local_registries: BTreeMap::new(),
-            seen: SeenQueries::new(seen_retention),
+            seen: SeenQueries::new(SEEN_RETENTION),
             attached: HashMap::new(),
             subscriptions: HashMap::new(),
             sub_index: SubscriptionIndex::new(),
@@ -571,9 +572,6 @@ impl RegistryNode {
     /// recently evaluated query is served from memory while every returned
     /// lease is still running, byte-identical to a fresh evaluation.
     fn cached_evaluate(&mut self, query: &QueryMessage, now: SimTime) -> Vec<ResponseHit> {
-        if self.cfg.query_cache_capacity == 0 {
-            return self.engine.evaluate(query, now);
-        }
         let key = cache_key(&query.payload, query.max_responses);
         if let Some(hits) = self.query_cache.get(&key, now) {
             return hits.to_vec();
@@ -659,7 +657,7 @@ impl RegistryNode {
         }
         // Stale band: serve a slightly-lapsed cached answer as is — no
         // evaluation, no federation — while this close to saturation.
-        if self.above(pol.stale_pct) && self.cfg.query_cache_capacity > 0 {
+        if self.above(pol.stale_pct) {
             let key = cache_key(&query.payload, query.max_responses);
             let stale =
                 self.query_cache.get_stale(&key, ctx.now(), pol.stale_slack).map(<[_]>::to_vec);
@@ -874,12 +872,11 @@ impl RegistryNode {
     /// for its own adverts) and answers mismatched buckets with a
     /// `SyncDelta`; agreement costs one fixed-size message and no reply.
     fn send_sync_digest(&mut self, ctx: &mut Ctx<'_, DiscoveryMessage>, peer: NodeId) {
-        let n = self.cfg.sync_buckets;
         let buckets = {
             let st = self.sync.entry(peer).or_default();
             sds_registry::sync::fold_digests(
                 st.synced.iter().map(|(&id, &(version, lease))| (id, version, lease)),
-                n,
+                SYNC_BUCKETS,
             )
         };
         self.stats.sync_rounds += 1;
@@ -888,7 +885,7 @@ impl RegistryNode {
             self.cfg.codec,
             Destination::Unicast(peer),
             DiscoveryMessage::maintenance(MaintenanceOp::SyncDigest {
-                count: u32::from(n),
+                count: u32::from(SYNC_BUCKETS),
                 buckets,
             }),
         );
@@ -908,14 +905,15 @@ impl RegistryNode {
         resend: Option<&[Uuid]>,
     ) {
         let now = ctx.now();
-        let n = self.cfg.sync_buckets;
         let mut owned: Vec<(Arc<Advertisement>, SimTime)> = self
             .engine
             .store()
             .first_hand(now)
             .filter(|s| match resend {
                 Some(ids) => ids.contains(&s.advert.id),
-                None => buckets.contains(&sds_registry::sync::bucket_of(s.advert.id, n)),
+                None => {
+                    buckets.contains(&sds_registry::sync::bucket_of(s.advert.id, SYNC_BUCKETS))
+                }
             })
             .map(|s| (s.advert.clone(), s.lease_until))
             .collect();
@@ -1033,10 +1031,9 @@ impl RegistryNode {
         // are gone at the origin. An empty bucket list marks a loss-recovery
         // resend and prunes nothing.
         if !buckets.is_empty() {
-            let n = self.cfg.sync_buckets;
             if let Some(st) = self.sync.get_mut(&from) {
                 st.synced.retain(|&id, _| {
-                    !buckets.contains(&sds_registry::sync::bucket_of(id, n))
+                    !buckets.contains(&sds_registry::sync::bucket_of(id, SYNC_BUCKETS))
                         || mentioned.contains(&id)
                 });
             }
@@ -1177,13 +1174,12 @@ impl RegistryNode {
                         self.send_sync_digest(ctx, from);
                     }
                 }
-                let n = self.cfg.sync_buckets;
-                let own = self.engine.store().sync_digests(ctx.now(), n);
+                let own = self.engine.store().sync_digests(ctx.now(), SYNC_BUCKETS);
                 // Bucket-for-bucket comparison only when the shapes agree; a
                 // peer with different bucket geometry (or a corrupted frame)
                 // counts every bucket as divergent.
                 let shape_ok = count as usize == buckets.len() && buckets.len() == own.len();
-                let mismatched: Vec<u16> = (0..n)
+                let mismatched: Vec<u16> = (0..SYNC_BUCKETS)
                     .filter(|&b| !shape_ok || own[usize::from(b)] != buckets[usize::from(b)])
                     .collect();
                 if !mismatched.is_empty() {
@@ -1502,7 +1498,7 @@ impl NodeHandler<DiscoveryMessage> for RegistryNode {
         for a in &self.artifacts {
             self.engine.host_artifact(a.clone());
         }
-        self.query_cache = QueryCache::new(self.cfg.query_cache_capacity);
+        self.query_cache = QueryCache::new(QUERY_CACHE_CAPACITY);
         self.peers.clear();
         self.probation.clear();
         self.local_registries.clear();
@@ -1518,7 +1514,7 @@ impl NodeHandler<DiscoveryMessage> for RegistryNode {
             self.beacon(ctx);
             ctx.set_timer(self.cfg.beacon_interval, tags::BEACON);
         }
-        ctx.set_timer(self.cfg.purge_interval, tags::PURGE);
+        ctx.set_timer(PURGE_INTERVAL, tags::PURGE);
         if !self.cfg.seeds.is_empty() {
             self.join_seeds(ctx);
         }
@@ -1530,9 +1526,7 @@ impl NodeHandler<DiscoveryMessage> for RegistryNode {
         if self.anti_entropy_on() {
             ctx.set_timer(self.cfg.sync_interval, tags::SYNC);
         }
-        if self.cfg.query_cache_capacity > 0 && self.cfg.cache_sweep_interval > 0 {
-            ctx.set_timer(self.cfg.cache_sweep_interval, tags::CACHE_SWEEP);
-        }
+        ctx.set_timer(CACHE_SWEEP_INTERVAL, tags::CACHE_SWEEP);
         // A restart clears overload history (the EWMA is soft state); the
         // jitter stream, like `probation_rng`, persists across restarts.
         self.overload.ops_in_window = 0;
@@ -1584,14 +1578,13 @@ impl NodeHandler<DiscoveryMessage> for RegistryNode {
                     }
                     live
                 });
-                ctx.set_timer(self.cfg.purge_interval, tags::PURGE);
+                ctx.set_timer(PURGE_INTERVAL, tags::PURGE);
             }
             tags::PEER_PING => {
-                let tolerance = self.cfg.peer_ping_tolerance;
                 let dead: Vec<NodeId> = self
                     .peers
                     .iter()
-                    .filter(|(_, p)| p.unanswered_pings >= tolerance)
+                    .filter(|(_, p)| p.unanswered_pings >= PEER_PING_TOLERANCE)
                     .map(|(&id, _)| id)
                     .collect();
                 for id in dead {
@@ -1662,7 +1655,7 @@ impl NodeHandler<DiscoveryMessage> for RegistryNode {
             }
             tags::CACHE_SWEEP => {
                 self.query_cache.sweep(ctx.now());
-                ctx.set_timer(self.cfg.cache_sweep_interval, tags::CACHE_SWEEP);
+                ctx.set_timer(CACHE_SWEEP_INTERVAL, tags::CACHE_SWEEP);
             }
             tags::OVERLOAD_TICK => {
                 // Fold the window's ops count into the utilization EWMA

@@ -22,8 +22,8 @@
 //!   space by taxonomy component, plus exact-match hashing for URI/template
 //!   models; one shard is the unsharded registry), with batched, coalesced
 //!   query evaluation optionally fanned across scoped worker threads
-//!   ([`pool`], `set_workers`) under a deterministic merge — observably
-//!   identical at every shard and worker count;
+//!   ([`sds_simnet::pool`], `set_workers`) under a deterministic merge —
+//!   observably identical at every shard and worker count;
 //! * [`QueryCache`]: memoizes ranked results at the registry edge with
 //!   lease-driven invalidation;
 //! * [`SeenQueries`]: the query-id cache used for loop avoidance when
@@ -35,7 +35,6 @@
 mod cache;
 mod engine;
 mod evaluate;
-pub mod pool;
 mod seen;
 mod shard;
 mod sharded;

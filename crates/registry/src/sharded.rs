@@ -23,22 +23,21 @@
 //!
 //! Parallel execution: with [`ShardedEngine::set_workers`] above 1, a
 //! broadcast query's per-shard scans and a batch's per-shard queues fan out
-//! across scoped worker threads ([`crate::pool`]). Each worker reads only
-//! its own shard's store and owns its own memo table — share-nothing — and
-//! results merge through the total ranking order, so the worker count is
-//! unobservable: every byte matches the sequential path (see DESIGN §16 and
-//! the `shard_props` sweep).
+//! across scoped worker threads ([`sds_simnet::pool`]). Each worker reads
+//! only its own shard's store and owns its own memo table — share-nothing —
+//! and results merge through the total ranking order, so the worker count
+//! is unobservable: every byte matches the sequential path (see DESIGN §16
+//! and the `shard_props` sweep).
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use sds_protocol::{Advertisement, AdvertId, ModelId, QueryMessage, QueryPayload, ResponseHit};
 use sds_semantic::{Artifact, ArtifactRepository, ClassId, SubsumptionIndex};
-use sds_simnet::{NodeId, SimTime};
+use sds_simnet::{pool, NodeId, SimTime};
 
 use crate::engine::{rank_hits, select_ranked, RankedRef, RegistrySummary};
 use crate::evaluate::ModelEvaluator;
-use crate::pool;
 use crate::shard::{Route, ShardRouter};
 use crate::store::{LeasePolicy, PublishOutcome, RegistryStore, StoredAdvert};
 

@@ -419,6 +419,18 @@ pub(crate) struct Domain<P> {
     pub(crate) outboxes: Vec<Vec<CrossMsg<P>>>,
 }
 
+// SAFETY: `Domain<P>` is not auto-`Send` only because `core` queues
+// deliveries as `Rc<P>`; every other field is owned data that is `Send` when
+// `P` is, and handlers (in `nodes`) and `corruptor` are `Send` by bound — so
+// a handler cannot keep the `Rc` it is shown. Moving a *whole* domain to
+// another thread — all `par::run_domains` does: one `&mut Domain` per
+// worker, never two to the same domain — is sound when `P: Send` because no
+// `Rc` crosses a domain: payloads enter as owned `P` (local sends and outbox
+// handoffs both `Rc::new` domain-side, `outboxes` carry owned `P`), so every
+// clone of an `Rc<P>` lives in the domain that created it and no reference
+// count is ever touched by two threads.
+unsafe impl<P: Send> Send for Domain<P> {}
+
 impl<P: Clone + Send + 'static> Domain<P> {
     pub(crate) fn new(index: u16, mode: ExecMode, seed: u64, lans: Vec<LanId>, n_domains: usize) -> Self {
         let nl = lans.len();

@@ -54,6 +54,7 @@ mod handler;
 mod ids;
 mod message;
 mod par;
+pub mod pool;
 mod stats;
 mod time;
 mod topology;

@@ -4,15 +4,14 @@
 //! mutable state: domains only read the [`World`] and write their own
 //! fields (cross-domain messages go to per-destination outboxes, drained by
 //! the coordinator *after* the window). So the scheduling here is the
-//! simplest thing that works: an atomic cursor hands out domain indices,
-//! scoped threads claim and run them, and the scope join is the barrier.
-//! Which thread runs which domain — and in what order — cannot affect the
-//! result, which is the worker-count-invariance guarantee the equivalence
-//! tests pin.
-
-use std::sync::atomic::{AtomicUsize, Ordering};
+//! simplest thing that works: the shared scoped pool ([`crate::pool`]) hands
+//! each `&mut Domain` to exactly one worker, and the scope join is the
+//! barrier. Which thread runs which domain — and in what order — cannot
+//! affect the result, which is the worker-count-invariance guarantee the
+//! equivalence tests pin.
 
 use crate::domain::{Domain, RunOutcome, World};
+use crate::pool;
 use crate::time::SimTime;
 
 /// How a simulator's LANs are grouped into share-nothing execution domains.
@@ -35,51 +34,6 @@ pub enum PartitionPlan {
     Domains(usize),
 }
 
-/// Shares the domain slice across worker threads.
-///
-/// SAFETY: `Domain<P>` is not `Sync` and not auto-`Send` (it holds `Rc<P>`
-/// payloads and `Rc`-free but thread-bound-looking state), but moving a
-/// *whole* domain to another thread is sound when `P: Send`:
-///
-/// * every `Rc<P>` clone lives inside the domain that created it — payloads
-///   enter a domain as owned `P` (local sends and outbox handoffs both
-///   `Rc::new` domain-side), so no reference count is ever shared across
-///   domains;
-/// * handlers and corruptors are `Send` by bound;
-/// * each index is claimed by exactly one worker (a single `fetch_add`
-///   winner), so no `&mut Domain` aliases another.
-struct DomainJobs<'a, P> {
-    base: *mut Domain<P>,
-    len: usize,
-    cursor: AtomicUsize,
-    world: &'a World<'a>,
-    limit: SimTime,
-}
-
-unsafe impl<P: Send> Sync for DomainJobs<'_, P> {}
-
-impl<P: Clone + Send + 'static> DomainJobs<'_, P> {
-    /// Claims and runs domains until the cursor is exhausted.
-    fn work(&self) {
-        loop {
-            let i = self.cursor.fetch_add(1, Ordering::Relaxed);
-            if i >= self.len {
-                return;
-            }
-            // SAFETY: `i` was returned by fetch_add exactly once, so this
-            // worker holds the only `&mut` to domain `i`; `base` outlives
-            // the enclosing thread::scope.
-            let domain = unsafe { &mut *self.base.add(i) };
-            match domain.run_events(self.limit, self.world) {
-                RunOutcome::Done => {}
-                RunOutcome::Control(_) => {
-                    unreachable!("partitioned mode never queues controls in the wheel")
-                }
-            }
-        }
-    }
-}
-
 /// Runs every domain up to `limit` (inclusive), using up to `workers`
 /// threads. `workers <= 1` (or a single domain) runs inline on the calling
 /// thread — no spawn cost, same result.
@@ -89,30 +43,10 @@ pub(crate) fn run_domains<P: Clone + Send + 'static>(
     limit: SimTime,
     workers: usize,
 ) {
-    let workers = workers.min(domains.len());
-    if workers <= 1 {
-        for d in domains.iter_mut() {
-            match d.run_events(limit, world) {
-                RunOutcome::Done => {}
-                RunOutcome::Control(_) => {
-                    unreachable!("partitioned mode never queues controls in the wheel")
-                }
-            }
+    pool::for_each_mut(workers, domains, |_, d| match d.run_events(limit, world) {
+        RunOutcome::Done => {}
+        RunOutcome::Control(_) => {
+            unreachable!("partitioned mode never queues controls in the wheel")
         }
-        return;
-    }
-    let jobs = DomainJobs {
-        base: domains.as_mut_ptr(),
-        len: domains.len(),
-        cursor: AtomicUsize::new(0),
-        world,
-        limit,
-    };
-    std::thread::scope(|scope| {
-        // The calling thread is worker 0; spawn the rest.
-        for _ in 1..workers {
-            scope.spawn(|| jobs.work());
-        }
-        jobs.work();
     });
 }

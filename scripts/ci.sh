@@ -20,7 +20,7 @@ cargo test --release --offline --manifest-path benchmark/Cargo.toml
 # parse, find every seed-exact metric equal and every end-to-end metric
 # inside its bound. Comparing two revisions is a manual step (see the
 # script's header); the files under bench-results/ are what each PR ran it on.
-scripts/bench_compare.sh bench-results/8ab786b.results bench-results/8ab786b.results > /dev/null
+scripts/bench_compare.sh bench-results/pr21.results bench-results/pr21.results > /dev/null
 
 # Bounded chaos soak (quick mode): fixed 8-seed sweep of combined churn +
 # fault injection with post-heal convergence invariants. Deterministic, so
@@ -43,25 +43,15 @@ SDS_CHAOS_SEEDS=2 SDS_RECOVERY_BOUND=30000 \
 cargo test -q --offline --release -p sds-integration --test engine_equivalence \
   -- --include-ignored
 
-# Microbenchmark smoke run: quick-mode wall clock, mostly to prove the
-# benches still build and run. Every measurement appends to
-# target/bench-history.jsonl, arming the 10x median regression flag for
-# the next run; a missing history file afterwards means recording broke.
-# SDS_BENCH_REV tags each sample with the revision under test so history
-# lines are attributable after the fact.
-# Respect a caller-pinned rev tag: pre-commit runs set SDS_BENCH_REV=pre-commit
-# so work-in-progress samples never pollute the committed BENCH_<rev>.json of
-# the revision HEAD still points at.
-SDS_BENCH_REV="${SDS_BENCH_REV:-$(git rev-parse --short HEAD 2>/dev/null || echo unknown)}"
-export SDS_BENCH_REV
+# Microbenchmark smoke run: quick-mode wall clock, to prove the benches
+# still build and run. Nothing is recorded: the measured trajectory is
+# bench-results/ (see scripts/bench_compare.sh).
 SDS_BENCH_QUICK=1 cargo bench -q --offline -p sds-bench --bench microbench
 
 # Engine-scaling smoke (quick mode: 10^2 and 10^3 nodes in both delivery
 # modes, the sequential-vs-partitioned engine sweep, and a shortened-horizon
 # million-node run): proves the S1 bin runs — including that 10^6 nodes
-# build, run, and fit in memory — and keeps recording sec-per-event,
-# clones-per-delivery, engine speedups, and rss-bytes-per-node into the
-# history file.
+# build, run, and fit in memory.
 SDS_BENCH_QUICK=1 cargo run -q --release --offline -p sds-bench --bin s1_engine_scaling
 
 # Shard-equivalence sweep: the engine at 1/2/4/8 shards must return the
@@ -80,8 +70,7 @@ cargo test -q --offline -p sds-integration --test multiworker_registry
 
 # Mixed-workload smoke (quick mode): proves the Q2 bin runs — sharded +
 # batched + cached data-plane configurations plus the workers × shards
-# parallel-batch matrix under sustained query bursts with publish churn —
-# and records queries/s-derived mean and p99 latency into the history file.
+# parallel-batch matrix under sustained query bursts with publish churn.
 # The >=2x parallel speedup assertion only arms in full mode on >=4 cores.
 SDS_BENCH_QUICK=1 cargo run -q --release --offline -p sds-bench --bin q2_mixed_workload
 
@@ -95,9 +84,8 @@ SDS_CHAOS_SEEDS=2 cargo test -q --offline -p sds-integration --test overload_soa
 # Overload-resilience smoke (quick mode: 12 LANs / ~600 nodes): proves the
 # O1 bin runs a 10x flash crowd against both the layer-disabled baseline
 # and the full overload ladder, asserts the >=2x storm-goodput win, the
-# renewal-class no-shed guarantee, and post-storm recall 1.0, and records
-# goodput/p95/recall into the history file. The metro-scale (10^5-node)
-# run is the non-quick mode.
+# renewal-class no-shed guarantee, and post-storm recall 1.0. The
+# metro-scale (10^5-node) run is the non-quick mode.
 SDS_BENCH_QUICK=1 cargo run -q --release --offline -p sds-bench --bin o1_overload
 
 # Federation convergence property: 8 seeds of loss + duplication + reorder
@@ -106,15 +94,6 @@ SDS_BENCH_QUICK=1 cargo run -q --release --offline -p sds-bench --bin o1_overloa
 cargo test -q --offline -p sds-integration --test federation_sync
 
 # Federation-replication smoke (quick mode: 2 and 4 LANs, 60 s windows):
-# proves the F1 bin runs and keeps recording anti-entropy WAN bytes,
-# staleness and convergence time into the history file. The full-size
-# byte-budget / bounded-staleness / convergence assertions run in non-quick
-# mode.
+# proves the F1 bin runs. The full-size byte-budget / bounded-staleness /
+# convergence assertions run in non-quick mode.
 SDS_BENCH_QUICK=1 cargo run -q --release --offline -p sds-bench --bin f1_federation_sync
-
-test -s "${CARGO_TARGET_DIR:-target}/bench-history.jsonl" \
-  || { echo "ci: bench-history.jsonl missing or empty after bench run" >&2; exit 1; }
-
-# Distill this revision's history entries into BENCH_<rev>.json so the perf
-# trajectory is tracked in-repo (mean/p95 per benchmark).
-scripts/bench_export.sh
