@@ -10,14 +10,16 @@ use std::sync::Arc;
 use sds_bench::harness::{black_box, Harness};
 
 use sds_protocol::{
-    codec, Advertisement, Description, DiscoveryMessage, ModelId, PublishOp, QueryId,
-    QueryMessage, Uuid,
+    codec, Advertisement, Description, DescriptionTemplate, DiscoveryMessage, ModelId, PublishOp,
+    QueryId, QueryMessage, QueryPayload, Uuid,
 };
+use sds_rand::Rng;
 use sds_registry::{
     LeasePolicy, RegistryStore, SemanticEvaluator, ShardedEngine, TemplateEvaluator, UriEvaluator,
 };
 use sds_semantic::{
-    Interner, Matchmaker, ServiceRequest, SubsumptionIndex, Triple, TriplePattern, TripleStore,
+    ClassId, Interner, Matchmaker, QosKey, ServiceProfile, ServiceRequest, SubsumptionIndex,
+    Triple, TriplePattern, TripleStore,
 };
 use sds_simnet::{Ctx, Destination, NodeHandler, NodeId, Sim, SimConfig, Topology};
 use sds_workload::{battlefield, parametric, PopulationSpec, Workload};
@@ -158,6 +160,62 @@ fn bench_registry_evaluate(h: &mut Harness) {
             })
         });
     }
+
+    // The same evaluate where memory matters: a 100 000-advert mixed store
+    // (a third each URI, template, semantic; 1 024 leaf categories), one
+    // category request per leaf in turn, so a query's ~33 candidates were
+    // last touched 1 023 queries ago. This is the confirm cost the
+    // benchmark's traced replay cannot see (it times the public reference
+    // path).
+    let ont = parametric(4, 4, 4);
+    let idx = Arc::new(SubsumptionIndex::build(&ont));
+    let leaves: Vec<ClassId> = (ont.len() - 1024..ont.len()).map(|i| ClassId(i as u32)).collect();
+    let mut built: Option<ShardedEngine> = None;
+    let build = || {
+        let mut rng = Rng::seed_from_u64(0x100_000);
+        let mut engine = ShardedEngine::new(LeasePolicy::default(), 1, Some(&idx));
+        engine.register_evaluator(Box::new(UriEvaluator));
+        engine.register_evaluator(Box::new(TemplateEvaluator));
+        engine.register_evaluator(Box::new(SemanticEvaluator::new(idx.clone())));
+        for i in 0..100_000u32 {
+            let leaf = leaves[rng.gen_range(0..leaves.len())];
+            let description = match i % 3 {
+                0 => Description::Uri(format!("urn:svc:{i}")),
+                1 => Description::Template(DescriptionTemplate {
+                    name: Some(format!("svc{i}")),
+                    type_uri: Some(format!("urn:type:{}", i % 64)),
+                    attrs: Vec::new(),
+                }),
+                _ => Description::Semantic(
+                    ServiceProfile::new(format!("svc{i}"), leaf)
+                        .with_outputs(&[leaves[rng.gen_range(0..leaves.len())]])
+                        .with_qos(QosKey::Accuracy, 0.5 + 0.5 * rng.gen_f64()),
+                ),
+            };
+            let id = Uuid(u128::from(i) + 1);
+            let advert = Advertisement { id, provider: NodeId(0), description, version: 1 };
+            engine.publish(advert, NodeId(0), 0, 1_000_000);
+        }
+        engine
+    };
+    let mut k = 0usize;
+    g.bench("evaluate_100k_store/Semantic", |b| {
+        let engine = built.get_or_insert_with(build);
+        b.iter(|| {
+            // 389 is coprime to 1 024: every leaf once per cycle, neighbours apart.
+            k = (k + 389) % leaves.len();
+            let query = QueryMessage {
+                id: QueryId { origin: NodeId(1), seq: k as u64 },
+                payload: QueryPayload::Semantic(
+                    ServiceRequest::for_category(leaves[k]).with_qos(QosKey::Accuracy, 0.25),
+                ),
+                max_responses: Some(32),
+                ttl: 0,
+                reply_to: None,
+            };
+            black_box(engine.evaluate(&query, 100))
+        })
+    });
 }
 
 /// The incremental cost of the secondary indexes and the expiry heap:

@@ -10,8 +10,7 @@
 //!   one evaluation per query: the baseline every "vs s1" ratio divides by;
 //! * `sharded`      — [`ShardedEngine`] (4 shards), routed single evaluations;
 //! * `shard+batch`  — per-burst [`ShardedEngine::evaluate_batch`]: identical
-//!   in-flight queries coalesce to one evaluation and semantic taxonomy
-//!   walks are memoized per shard;
+//!   in-flight queries coalesce to one evaluation;
 //! * `shard+cache`  — a [`QueryCache`] in front of the sharded engine, with
 //!   lease-driven validity and publish invalidation, as `RegistryNode` runs;
 //! * `batch/s{S}w{W}` — the workers × shards matrix: the batch path at
@@ -396,8 +395,7 @@ fn main() {
     }
     println!(
         "\nExpectation: batching coalesces the burst's duplicate queries to one\n\
-         evaluation per distinct payload and memoizes taxonomy walks; the edge\n\
-         cache amortizes repeats across bursts until leases or churn invalidate\n\
-         them."
+         evaluation per distinct payload; the edge cache amortizes repeats\n\
+         across bursts until leases or churn invalidate them."
     );
 }

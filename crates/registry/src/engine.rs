@@ -1,9 +1,13 @@
 //! The engine's shard-independent pieces: the total ranking order, bounded
-//! top-k selection over borrowed adverts, and the registry summary. The
+//! top-k selection over inline ranking keys, and the registry summary. The
 //! engine itself is [`crate::ShardedEngine`]; the unit tests below run it at
 //! one shard, which *is* the unsharded registry.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 use sds_protocol::{AdvertId, ModelId, ResponseHit};
+use sds_semantic::Degree;
 
 /// Summary information a registry shares with peers ("send out summary
 /// information about the advertisements present in a registry").
@@ -14,74 +18,40 @@ pub struct RegistrySummary {
     pub models: Vec<ModelId>,
 }
 
-/// A confirmed hit over a borrowed advert, ordered best-first: degree desc,
+/// The ranking key of a confirmed hit, ordered best-first: degree desc,
 /// distance asc, advert id asc — the same total order as [`rank_hits`], so
-/// "greatest" means "worst" and a max-heap of size k retains the top k.
-/// The order is total over unique advert ids, which is what makes a ranked
+/// "greatest" means "worst" and a max-heap of size k retains the top k. The
+/// order is total over unique advert ids, which is what makes a ranked
 /// result independent of the order shards (or worker threads) enumerate in.
-pub(crate) struct RankedRef<'a> {
-    pub(crate) degree: sds_semantic::Degree,
+/// The key is the whole value, 32 inline bytes: selecting over keys never
+/// reaches into the advert table.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
+pub(crate) struct Ranked {
+    pub(crate) degree: Reverse<Degree>,
     pub(crate) distance: u32,
+    pub(crate) id: AdvertId,
+}
+
+/// A confirmed hit over a borrowed advert, ordered by its inline [`Ranked`]
+/// key alone: a comparison never follows `stored`.
+pub(crate) struct RankedRef<'a> {
+    pub(crate) rank: Ranked,
     pub(crate) stored: &'a crate::store::StoredAdvert,
 }
 
 impl RankedRef<'_> {
-    fn key(&self) -> (std::cmp::Reverse<sds_semantic::Degree>, u32, AdvertId) {
-        (std::cmp::Reverse(self.degree), self.distance, self.stored.advert.id)
-    }
-
     pub(crate) fn into_hit(self) -> ResponseHit {
         ResponseHit {
             advert: self.stored.advert.clone(),
-            degree: self.degree,
-            distance: self.distance,
-        }
-    }
-}
-
-/// Selects the best `max` hits (all of them when unbounded) in rank order
-/// from an arbitrarily-ordered stream of confirmed hits. Bounded selection
-/// keeps a max-heap of the k best seen so far, worst on top: O(n · log k)
-/// and never more than k+1 entries resident.
-///
-/// Because the ranking key is a *total* order over unique advert ids,
-/// selection is also composable: `select_ranked(concat(streams), k)` equals
-/// `select_ranked(concat(per-stream select_ranked(stream, k)), k)` — any
-/// global top-k member survives its own stream's top-k. The parallel
-/// sharded plane leans on exactly this to merge per-shard selections
-/// deterministically (DESIGN §16).
-pub(crate) fn select_ranked<'a>(
-    confirmed: impl Iterator<Item = RankedRef<'a>>,
-    max: Option<u16>,
-) -> Vec<RankedRef<'a>> {
-    match max {
-        Some(k) => {
-            let k = k as usize;
-            let mut top = std::collections::BinaryHeap::with_capacity(k + 1);
-            for hit in confirmed {
-                if k == 0 {
-                    break;
-                }
-                top.push(hit);
-                if top.len() > k {
-                    top.pop();
-                }
-            }
-            let mut v = top.into_vec();
-            v.sort_unstable();
-            v
-        }
-        None => {
-            let mut v: Vec<RankedRef<'a>> = confirmed.collect();
-            v.sort_unstable();
-            v
+            degree: self.rank.degree.0,
+            distance: self.rank.distance,
         }
     }
 }
 
 impl PartialEq for RankedRef<'_> {
     fn eq(&self, other: &Self) -> bool {
-        self.key() == other.key()
+        self.rank == other.rank
     }
 }
 impl Eq for RankedRef<'_> {}
@@ -92,8 +62,73 @@ impl PartialOrd for RankedRef<'_> {
 }
 impl Ord for RankedRef<'_> {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.key().cmp(&other.key())
+        self.rank.cmp(&other.rank)
     }
+}
+
+/// The best `max` hits pushed so far, or all of them when unbounded.
+/// Bounded selection keeps a max-heap of the k best, worst on top:
+/// O(n · log k) and never more than k entries resident.
+pub(crate) enum TopK<T> {
+    Bounded { k: usize, best: BinaryHeap<T> },
+    All(Vec<T>),
+}
+
+impl<T: Ord> TopK<T> {
+    /// A selection of the best `max`, from at most `at_most` pushes when the
+    /// caller knows a bound: reserving for hits that cannot arrive would make
+    /// the one-candidate query pay for a `max`-sized block.
+    pub(crate) fn new(max: Option<u16>, at_most: Option<usize>) -> Self {
+        match max.map(usize::from) {
+            Some(k) => {
+                let reserve = at_most.map_or(k, |n| n.min(k));
+                TopK::Bounded { k, best: BinaryHeap::with_capacity(reserve) }
+            }
+            None => TopK::All(Vec::with_capacity(at_most.unwrap_or(0))),
+        }
+    }
+
+    pub(crate) fn push(&mut self, hit: T) {
+        match self {
+            TopK::Bounded { k, best } if best.len() < *k => best.push(hit),
+            // Full (or `k` is 0): `hit` replaces the worst kept hit, which is
+            // on top, or is itself the worst and dropped.
+            TopK::Bounded { best, .. } => {
+                if let Some(mut worst) = best.peek_mut().filter(|worst| hit < **worst) {
+                    *worst = hit;
+                }
+            }
+            TopK::All(all) => all.push(hit),
+        }
+    }
+
+    /// The selection in rank order, best first.
+    pub(crate) fn into_ranked(self) -> Vec<T> {
+        let mut ranked = match self {
+            TopK::Bounded { best, .. } => best.into_vec(),
+            TopK::All(all) => all,
+        };
+        ranked.sort_unstable();
+        ranked
+    }
+}
+
+/// Selects the best `max` hits (all of them when unbounded) in rank order
+/// from an arbitrarily-ordered stream of confirmed hits.
+///
+/// Because the ranking key is a *total* order over unique advert ids,
+/// selection is composable: `select_ranked(concat(streams), k)` equals
+/// `select_ranked(concat(per-stream select_ranked(stream, k)), k)` — any
+/// global top-k member survives its own stream's top-k. The parallel
+/// sharded plane leans on exactly this to merge per-shard selections
+/// deterministically (DESIGN §16).
+pub(crate) fn select_ranked<T: Ord>(
+    confirmed: impl Iterator<Item = T>,
+    max: Option<u16>,
+) -> Vec<T> {
+    let mut top = TopK::new(max, confirmed.size_hint().1);
+    confirmed.for_each(|hit| top.push(hit));
+    top.into_ranked()
 }
 
 /// Ranks hits best-first: degree desc, distance asc, advert id for
@@ -334,6 +369,89 @@ mod tests {
             cache.insert(key.clone(), &q.payload, hits, valid_until, 10);
             let served = cache.get(&key, 20).expect("inserted above");
             assert!(Arc::ptr_eq(&served[0].advert, &published));
+        }
+    }
+
+    #[test]
+    fn an_advert_in_two_related_output_postings_answers_once() {
+        // Regression guard for the posting walk: the id-merging path it
+        // replaced ended in `merged.dedup()`. Every advert here produces
+        // both Sensor and Radar, so a request for either output reaches it
+        // through two postings; their categories sit in eight unrelated
+        // trees, so at four shards some are multi-homed and the broadcast
+        // (unconstrained) request meets them in two shards.
+        let mut o = Ontology::new();
+        let roots: Vec<_> = (0..8).map(|i| o.class(&format!("T{i}"), &[])).collect();
+        let sensor = o.class("Sensor", &[roots[0]]);
+        let radar = o.class("Radar", &[sensor]);
+        let idx = Arc::new(SubsumptionIndex::build(&o));
+        for shards in [1, 4] {
+            let mut e = ShardedEngine::new(LeasePolicy::default(), shards, Some(&idx));
+            e.register_evaluator(Box::new(SemanticEvaluator::new(idx.clone())));
+            for (i, &category) in roots.iter().enumerate() {
+                let advert = Advertisement {
+                    id: Uuid(i as u128 + 1),
+                    provider: NodeId(1),
+                    description: Description::Semantic(
+                        ServiceProfile::new(format!("s{i}"), category)
+                            .with_outputs(&[sensor, radar]),
+                    ),
+                    version: 1,
+                };
+                e.publish(advert, NodeId(1), 0, 60_000);
+            }
+            let every_advert: Vec<u128> = (1..=8).collect();
+            for (request, degree) in [
+                (ServiceRequest::default().with_outputs(&[radar]), Degree::Exact), // routed
+                (ServiceRequest::default().with_outputs(&[sensor]), Degree::Exact), // routed
+                (ServiceRequest::default().with_outputs(&[roots[0]]), Degree::PlugIn), // routed
+                (ServiceRequest::default(), Degree::Exact),                        // broadcast
+            ] {
+                let q = query(QueryPayload::Semantic(request), None);
+                let hits = e.evaluate(&q, 10);
+                let ids: Vec<u128> = hits.iter().map(|h| h.advert.id.0).collect();
+                assert_eq!(ids, every_advert, "{shards} shard(s), {:?}", q.payload);
+                assert!(hits.iter().all(|h| h.degree == degree));
+                assert_eq!(hits, e.naive_evaluate(&q, 10));
+            }
+        }
+    }
+
+    #[test]
+    fn a_profile_too_wide_for_its_row_is_confirmed_from_the_advert() {
+        // Three outputs and two inputs are more concept references than a
+        // match row holds inline, so the confirm reads this advert's lists
+        // from its profile; its narrow neighbour is confirmed from the row.
+        let mut o = Ontology::new();
+        let thing = o.class("Thing", &[]);
+        let [a, b, c, x, y] = ["A", "B", "C", "X", "Y"].map(|n| o.class(n, &[thing]));
+        let idx = Arc::new(SubsumptionIndex::build(&o));
+        let mut e = ShardedEngine::new(LeasePolicy::default(), 1, Some(&idx));
+        e.register_evaluator(Box::new(SemanticEvaluator::new(idx)));
+        let wide = ServiceProfile::new("wide", thing).with_outputs(&[a, b, c]).with_inputs(&[x, y]);
+        let narrow = ServiceProfile::new("narrow", thing).with_outputs(&[c]).with_inputs(&[x]);
+        for (id, profile) in [(1, wide), (2, narrow)] {
+            let advert = Advertisement {
+                id: Uuid(id),
+                provider: NodeId(1),
+                description: Description::Semantic(profile),
+                version: 1,
+            };
+            e.publish(advert, NodeId(1), 0, 60_000);
+        }
+        let wants_c = ServiceRequest::default().with_outputs(&[c]);
+        for (request, expected) in [
+            (wants_c.clone().with_provided_inputs(&[x, y]), vec![1, 2]),
+            (wants_c.clone().with_provided_inputs(&[x]), vec![2]), // wide also needs Y
+            (wants_c, vec![]),
+            (ServiceRequest::for_category(thing).with_provided_inputs(&[y, x]), vec![1, 2]),
+            (ServiceRequest::default().with_outputs(&[a]).with_provided_inputs(&[x, y]), vec![1]),
+        ] {
+            let q = query(QueryPayload::Semantic(request), None);
+            let hits = e.evaluate(&q, 10);
+            let ids: Vec<u128> = hits.iter().map(|h| h.advert.id.0).collect();
+            assert_eq!(ids, expected, "{:?}", q.payload);
+            assert_eq!(hits, e.naive_evaluate(&q, 10));
         }
     }
 

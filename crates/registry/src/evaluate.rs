@@ -29,7 +29,13 @@ pub trait ModelEvaluator: Send + Sync {
     fn evaluate(&self, payload: &QueryPayload, advert: &Advertisement) -> Option<(Degree, u32)>;
 
     /// The subsumption index backing this evaluator, when it reasons over an
-    /// ontology (used by registry-side composition planning).
+    /// ontology. Returning one is a statement about [`Self::evaluate`]: on a
+    /// semantic payload its verdict is [`match_request`] over this index.
+    /// Candidate generation prunes by that index's relatedness, the engine
+    /// confirms semantic candidates from the store's packed match column
+    /// instead of calling `evaluate` once per candidate, and composition
+    /// plans over it. An evaluator with different semantics returns `None`
+    /// and is asked about every semantic advert.
     fn subsumption_index(&self) -> Option<&SubsumptionIndex> {
         None
     }

@@ -10,7 +10,9 @@
 //!   model record per advert (provider, version, publication time, lease) —
 //!   with lease-based purging ("letting service advertisements have limited
 //!   lifetime ensures removal of obsolete advertisements"), secondary
-//!   indexes for sublinear candidate generation, and a lazy expiry heap;
+//!   indexes for sublinear candidate generation, a packed match column that
+//!   confirms a semantic candidate from one cache line, and a lazy expiry
+//!   heap;
 //! * [`ModelEvaluator`] + the three shipped evaluators: pluggable per-model
 //!   query evaluation behind the protocol's next-header, so "primitive
 //!   devices using only a lightweight URI-matching service discovery can use
@@ -33,6 +35,7 @@
 //! `sds-core`; baselines reuse these internals with different policies.
 
 mod cache;
+mod column;
 mod engine;
 mod evaluate;
 mod seen;

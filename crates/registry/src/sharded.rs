@@ -24,19 +24,20 @@
 //! Parallel execution: with [`ShardedEngine::set_workers`] above 1, a
 //! broadcast query's per-shard scans and a batch's per-shard queues fan out
 //! across scoped worker threads ([`sds_simnet::pool`]). Each worker reads
-//! only its own shard's store and owns its own memo table — share-nothing —
+//! only its own shard's store — share-nothing —
 //! and results merge through the total ranking order, so the worker count
 //! is unobservable: every byte matches the sequential path (see DESIGN §16
 //! and the `shard_props` sweep).
 
+use std::cmp::Reverse;
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use sds_protocol::{Advertisement, AdvertId, ModelId, QueryMessage, QueryPayload, ResponseHit};
-use sds_semantic::{Artifact, ArtifactRepository, ClassId, SubsumptionIndex};
+use sds_semantic::{Artifact, ArtifactRepository, SubsumptionIndex};
 use sds_simnet::{pool, NodeId, SimTime};
 
-use crate::engine::{rank_hits, select_ranked, RankedRef, RegistrySummary};
+use crate::engine::{rank_hits, select_ranked, Ranked, RankedRef, RegistrySummary, TopK};
 use crate::evaluate::ModelEvaluator;
 use crate::shard::{Route, ShardRouter};
 use crate::store::{LeasePolicy, PublishOutcome, RegistryStore, StoredAdvert};
@@ -310,9 +311,11 @@ impl ShardedEngine {
     /// (first-home deduplicated) otherwise.
     ///
     /// Sublinear path: the store's secondary indexes produce a candidate set
-    /// (a sound over-approximation — see [`RegistryStore::candidates`]), the
-    /// evaluator confirms each candidate over *borrowed* adverts, and only
-    /// the final top-k hits are cloned. The result is identical to
+    /// (a sound over-approximation — see [`RegistryStore::candidates`]), each
+    /// candidate is confirmed — a semantic one from its packed match row,
+    /// the others by the evaluator over *borrowed* adverts — selection runs
+    /// on inline ranking keys, and only the final top-k hits' adverts are
+    /// fetched and shared. The result is identical to
     /// [`ShardedEngine::naive_evaluate`] regardless of candidate enumeration
     /// order.
     pub fn evaluate(&self, query: &QueryMessage, now: SimTime) -> Vec<ResponseHit> {
@@ -331,10 +334,20 @@ impl ShardedEngine {
         query: &QueryMessage,
         now: SimTime,
     ) -> (Vec<ResponseHit>, SimTime) {
+        self.evaluate_on(self.router.route(&query.payload), query, now)
+    }
+
+    /// [`Self::evaluate_with_validity`] on a route already computed.
+    fn evaluate_on(
+        &self,
+        route: Route,
+        query: &QueryMessage,
+        now: SimTime,
+    ) -> (Vec<ResponseHit>, SimTime) {
         let Some(evaluator) = self.evaluators.get(&query.payload.model()).map(Box::as_ref) else {
             return (Vec::new(), SimTime::MAX); // "silently discard messages they cannot understand"
         };
-        let ranked = match self.router.route(&query.payload) {
+        let ranked = match route {
             Route::One(s) => self.scan_shard(s, evaluator, query, now, false),
             // Sound because the ranking order is total over unique advert
             // ids: a shard's top-k retains every advert that could appear in
@@ -354,40 +367,21 @@ impl ShardedEngine {
         (ranked.into_iter().map(RankedRef::into_hit).collect(), valid_until)
     }
 
-    /// Confirms candidate `ids` of one shard — present, live at `now`,
-    /// matched by the evaluator — and selects the shard's bounded top
+    /// One shard's unit of work, on the calling thread for a routed query
+    /// and fanned across workers for a broadcast: confirms the shard's
+    /// candidates — live at `now`, matched — and selects its bounded top
     /// `max_responses`. With `first_home_only`, a multi-homed advert answers
-    /// from its first home shard only (broadcast deduplication). Generic
-    /// over the id source so the routed path streams the store's
-    /// [`crate::Candidates`] without materializing them.
-    fn confirm<'a>(
-        &'a self,
-        shard: usize,
-        evaluator: &dyn ModelEvaluator,
-        query: &QueryMessage,
-        now: SimTime,
-        ids: impl Iterator<Item = AdvertId>,
-        first_home_only: bool,
-    ) -> Vec<RankedRef<'a>> {
-        let store = &self.shards[shard];
-        let confirmed = ids.filter_map(|id| {
-            if first_home_only && Self::first_shard(self.homes.get(&id)?.mask) != shard {
-                return None;
-            }
-            let stored = store.get(&id)?;
-            if !stored.is_live(now) {
-                return None;
-            }
-            evaluator
-                .evaluate(&query.payload, &stored.advert)
-                .map(|(degree, distance)| RankedRef { degree, distance, stored })
-        });
-        select_ranked(confirmed, query.max_responses)
-    }
-
-    /// [`Self::confirm`] over the shard's own candidate index: the per-shard
-    /// unit of work, on the calling thread for a routed query and fanned
-    /// across workers for a broadcast.
+    /// from its first home shard only (broadcast deduplication).
+    ///
+    /// A semantic query whose evaluator exposes its subsumption index is
+    /// confirmed from the store's match column
+    /// ([`RegistryStore::confirm_semantic`]) and selected on bare ranking
+    /// keys; only the selection's survivors are then fetched from the advert
+    /// table. Exposing the index is the evaluator's statement that its
+    /// verdict is `match_request` over that index, the contract candidate
+    /// generation has always relied on. Every other query streams the
+    /// store's [`crate::Candidates`] through the evaluator, one table probe
+    /// each, and the selection carries the probed advert along.
     fn scan_shard<'a>(
         &'a self,
         shard: usize,
@@ -396,9 +390,36 @@ impl ShardedEngine {
         now: SimTime,
         first_home_only: bool,
     ) -> Vec<RankedRef<'a>> {
-        let candidates =
-            self.shards[shard].candidates(&query.payload, evaluator.subsumption_index());
-        self.confirm(shard, evaluator, query, now, candidates.iter(), first_home_only)
+        let store = &self.shards[shard];
+        let answers_here = |id: &AdvertId| {
+            !first_home_only
+                || self.homes.get(id).is_some_and(|h| Self::first_shard(h.mask) == shard)
+        };
+        match (&query.payload, evaluator.subsumption_index()) {
+            (QueryPayload::Semantic(request), Some(idx)) => {
+                let mut top = TopK::new(query.max_responses, None);
+                store.confirm_semantic(request, idx, now, |id, degree, distance| {
+                    if answers_here(&id) {
+                        top.push(Ranked { degree: Reverse(degree), distance, id });
+                    }
+                });
+                let fetch = |rank: Ranked| RankedRef {
+                    rank,
+                    stored: store.get(&rank.id).expect("its row was just confirmed in this store"),
+                };
+                top.into_ranked().into_iter().map(fetch).collect()
+            }
+            (payload, idx) => {
+                let candidates = store.candidates(payload, idx);
+                let confirmed = candidates.iter().filter_map(|id| {
+                    let stored = store.get(&id).filter(|s| s.is_live(now) && answers_here(&id))?;
+                    let (degree, distance) = evaluator.evaluate(payload, &stored.advert)?;
+                    let rank = Ranked { degree: Reverse(degree), distance, id };
+                    Some(RankedRef { rank, stored })
+                });
+                select_ranked(confirmed, query.max_responses)
+            }
+        }
     }
 
     /// The linear-scan reference implementation: every live advert through
@@ -431,15 +452,12 @@ impl ShardedEngine {
     }
 
     /// Evaluates a queue of outstanding queries as one batch: identical
-    /// payloads are coalesced to a single evaluation, and semantic taxonomy
-    /// walks (candidate generation over `related_concepts`) are memoized per
-    /// shard so a burst of queries for the same concept walks the taxonomy
-    /// once. With multiple workers, the unique queue is partitioned by home
-    /// shard and per-shard queues evaluate in parallel — each worker reads
-    /// only its own shard and owns its own memo, no locking. Results come
-    /// back in input order, byte-identical to evaluating each query alone at
-    /// any worker count (evaluation is pure: shared `&self`, per-worker
-    /// memos, and the deterministic input-order reassembly below).
+    /// payloads are coalesced to a single evaluation. With multiple workers,
+    /// the unique queue is partitioned by home shard and per-shard queues
+    /// evaluate in parallel — each worker reads only its own shard, no
+    /// locking. Results come back in input order, byte-identical to
+    /// evaluating each query alone at any worker count (evaluation is pure:
+    /// shared `&self` and the deterministic input-order reassembly below).
     pub fn evaluate_batch(&self, queries: &[QueryMessage], now: SimTime) -> BatchResult {
         // Coalesce by (payload bytes, max): the codec encoding is injective,
         // so equal keys ⇔ equal queries (QoS floats block a derived Eq).
@@ -471,14 +489,9 @@ impl ShardedEngine {
             (0..self.shards.len()).filter(|&s| !shard_queue[s].is_empty()).collect();
         let per_shard = pool::map_indexed(self.workers, active.len(), |k| {
             let s = active[k];
-            // This worker's memo of materialized semantic candidate lists,
-            // keyed by the routing concept — the taxonomy walk is identical
-            // for every query constraining on the same category (or first
-            // output). Owned per shard, so workers never synchronize.
-            let mut memo: HashMap<(bool, ClassId), Vec<AdvertId>> = HashMap::new();
             shard_queue[s]
                 .iter()
-                .map(|&ui| (ui, self.evaluate_in_shard_memoized(s, uniques[ui], now, &mut memo)))
+                .map(|&ui| (ui, self.evaluate_on(Route::One(s), uniques[ui], now).0))
                 .collect::<Vec<_>>()
         });
         let mut unique_hits: Vec<Vec<ResponseHit>> = Vec::new();
@@ -490,42 +503,6 @@ impl ShardedEngine {
             unique_hits[ui] = self.evaluate(uniques[ui], now);
         }
         BatchResult { unique_hits, slot_of }
-    }
-
-    /// One routed evaluation within its home shard, sharing `memo` with the
-    /// rest of that shard's queue. Only semantic routes are memoizable —
-    /// URI/template candidate lookups are a hash probe already.
-    fn evaluate_in_shard_memoized(
-        &self,
-        shard: usize,
-        query: &QueryMessage,
-        now: SimTime,
-        memo: &mut HashMap<(bool, ClassId), Vec<AdvertId>>,
-    ) -> Vec<ResponseHit> {
-        let Some(evaluator) = self.evaluators.get(&query.payload.model()).map(Box::as_ref) else {
-            return Vec::new();
-        };
-        let concept_key = match &query.payload {
-            QueryPayload::Semantic(req) => match (req.category, req.outputs.first()) {
-                (Some(cat), _) => Some((true, cat)),
-                (None, Some(&out)) => Some((false, out)),
-                (None, None) => None,
-            },
-            _ => None,
-        };
-        let ranked = match concept_key {
-            Some(key) => {
-                let ids = memo.entry(key).or_insert_with(|| {
-                    self.shards[shard]
-                        .candidates(&query.payload, evaluator.subsumption_index())
-                        .iter()
-                        .collect()
-                });
-                self.confirm(shard, evaluator, query, now, ids.iter().copied(), false)
-            }
-            None => self.scan_shard(shard, evaluator, query, now, false),
-        };
-        ranked.into_iter().map(RankedRef::into_hit).collect()
     }
 
     /// Plans a service chain (paper §4.3 composition support) over the live

@@ -1,15 +1,19 @@
 //! The advertisement store: registry information model records plus leases,
 //! with incrementally-maintained secondary indexes so query evaluation scans
-//! candidates instead of the whole table, and a lazy min-heap over lease
-//! expiries so purge scheduling is O(log n) instead of a full scan.
+//! candidates instead of the whole table, a packed match column so a
+//! semantic candidate is confirmed without touching the table at all, and a
+//! lazy min-heap over lease expiries so purge scheduling is O(log n) instead
+//! of a full scan.
 
 use std::cmp::Reverse;
-use std::collections::{BTreeSet, BinaryHeap, HashMap};
+use std::collections::{BTreeMap, BTreeSet, BinaryHeap, HashMap};
 use std::sync::Arc;
 
 use sds_protocol::{AdvertId, Advertisement, Description, ModelId, QueryPayload};
-use sds_semantic::{ClassId, SubsumptionIndex};
+use sds_semantic::{ClassId, Degree, ServiceProfile, SubsumptionIndex};
 use sds_simnet::{NodeId, SimTime};
+
+use crate::column::{CompiledRequest, MatchRow};
 
 /// How a registry grants leases.
 ///
@@ -70,7 +74,14 @@ pub struct StoredAdvert {
     /// generations are store-unique so re-published ids cannot collide with
     /// entries left behind by a removed predecessor.
     lease_generation: u64,
+    /// Slot of a semantic advert's row in the match column; [`NO_ROW`]
+    /// for the other models.
+    row: u32,
 }
+
+/// `StoredAdvert::row` of an advert without a match row. Never a slot: the
+/// column would need 2^32 live rows.
+const NO_ROW: u32 = u32::MAX;
 
 impl StoredAdvert {
     pub fn is_live(&self, now: SimTime) -> bool {
@@ -94,9 +105,14 @@ pub enum PublishOutcome {
     StaleVersion,
 }
 
+/// A semantic posting: advert id → the slot of its row in the match column,
+/// so a walk reaches the row without a table probe.
+type RowPosting = BTreeMap<AdvertId, u32>;
+
 /// Secondary indexes over the advert table, keyed by the description fields
-/// the built-in evaluators constrain on. Postings are `BTreeSet`s so
-/// candidate enumeration is deterministic (ascending advert id).
+/// the built-in evaluators constrain on, and the match column the semantic
+/// postings point into. Postings are ordered so candidate enumeration is
+/// deterministic (ascending advert id).
 #[derive(Default, Debug)]
 struct SecondaryIndex {
     /// Exact service-type URI → adverts (the URI model matches exactly).
@@ -106,15 +122,23 @@ struct SecondaryIndex {
     /// query can never match them.
     by_template_type: HashMap<String, BTreeSet<AdvertId>>,
     /// Advertised category concept → semantic adverts (one posting each).
-    by_category: HashMap<ClassId, BTreeSet<AdvertId>>,
+    by_category: HashMap<ClassId, RowPosting>,
     /// Advertised output concept → semantic adverts producing it.
-    by_output: HashMap<ClassId, BTreeSet<AdvertId>>,
+    by_output: HashMap<ClassId, RowPosting>,
     /// All adverts of each description model, by wire tag.
     by_model: [BTreeSet<AdvertId>; 3],
+    /// The match column: one packed row per stored semantic advert, dense.
+    /// A row's slot is stable for as long as its advert keeps its content.
+    rows: Vec<MatchRow>,
+    /// Slots of removed adverts, reused before the column grows: churn
+    /// never makes it longer than the most semantic adverts held at once.
+    free_rows: Vec<u32>,
 }
 
 impl SecondaryIndex {
-    fn insert(&mut self, id: AdvertId, advert: &Advertisement) {
+    /// Indexes `advert`; a semantic one also gets a match row, whose slot is
+    /// returned ([`NO_ROW`] otherwise).
+    fn insert(&mut self, id: AdvertId, advert: &Advertisement, lease_until: SimTime) -> u32 {
         self.by_model[advert.description.model().wire_tag() as usize].insert(id);
         match &advert.description {
             Description::Uri(u) => {
@@ -126,46 +150,67 @@ impl SecondaryIndex {
                 }
             }
             Description::Semantic(p) => {
-                self.by_category.entry(p.category).or_default().insert(id);
+                let row = MatchRow::pack(p, lease_until);
+                let slot = match self.free_rows.pop() {
+                    Some(slot) => {
+                        self.rows[slot as usize] = row;
+                        slot
+                    }
+                    None => {
+                        assert!(self.rows.len() < NO_ROW as usize, "the match column is full");
+                        self.rows.push(row);
+                        (self.rows.len() - 1) as u32
+                    }
+                };
+                self.by_category.entry(p.category).or_default().insert(id, slot);
                 for &out in &p.outputs {
-                    self.by_output.entry(out).or_default().insert(id);
+                    self.by_output.entry(out).or_default().insert(id, slot);
                 }
+                return slot;
             }
         }
+        NO_ROW
     }
 
-    fn remove(&mut self, id: AdvertId, advert: &Advertisement) {
+    /// Unindexes `advert`, whose row (if it has one) is at `slot`.
+    fn remove(&mut self, id: AdvertId, advert: &Advertisement, slot: u32) {
         self.by_model[advert.description.model().wire_tag() as usize].remove(&id);
+        let from_set = |set: &mut BTreeSet<AdvertId>| {
+            set.remove(&id);
+            set.is_empty()
+        };
+        let from_rows = |rows: &mut RowPosting| {
+            rows.remove(&id);
+            rows.is_empty()
+        };
         match &advert.description {
-            Description::Uri(u) => remove_posting(&mut self.by_uri, u, id),
+            Description::Uri(u) => remove_posting(&mut self.by_uri, u, from_set),
             Description::Template(t) => {
                 if let Some(ty) = &t.type_uri {
-                    remove_posting(&mut self.by_template_type, ty, id);
+                    remove_posting(&mut self.by_template_type, ty, from_set);
                 }
             }
             Description::Semantic(p) => {
-                remove_posting(&mut self.by_category, &p.category, id);
-                for &out in &p.outputs {
-                    remove_posting(&mut self.by_output, &out, id);
+                remove_posting(&mut self.by_category, &p.category, from_rows);
+                for out in &p.outputs {
+                    remove_posting(&mut self.by_output, out, from_rows);
                 }
+                self.free_rows.push(slot);
             }
         }
     }
-
 }
 
-/// Removes `id` from one posting list, dropping the entry when it empties so
+/// Takes one advert out of the posting under `key` (`take` does it and
+/// reports whether the posting is now empty), dropping an emptied entry so
 /// churn does not leak keys.
-fn remove_posting<K: std::hash::Hash + Eq + Clone>(
-    map: &mut HashMap<K, BTreeSet<AdvertId>>,
+fn remove_posting<K: std::hash::Hash + Eq, P>(
+    map: &mut HashMap<K, P>,
     key: &K,
-    id: AdvertId,
+    take: impl FnOnce(&mut P) -> bool,
 ) {
-    if let Some(set) = map.get_mut(key) {
-        set.remove(&id);
-        if set.is_empty() {
-            map.remove(key);
-        }
+    if map.get_mut(key).is_some_and(take) {
+        map.remove(key);
     }
 }
 
@@ -251,7 +296,7 @@ impl RegistryStore {
         let advert: Arc<Advertisement> = advert.into();
         let id = advert.id;
         let Some(existing) = self.adverts.get_mut(&id) else {
-            self.index.insert(id, &advert);
+            let row = self.index.insert(id, &advert, lease_until);
             let lease_generation = self.schedule_expiry(id, lease_until);
             self.adverts.insert(
                 id,
@@ -262,6 +307,7 @@ impl RegistryStore {
                     lease_until,
                     requested_lease_ms,
                     lease_generation,
+                    row,
                 },
             );
             return PublishOutcome::New;
@@ -272,10 +318,8 @@ impl RegistryStore {
             // must not cost a live service its lease. Extend (never shorten)
             // like any other heartbeat; replication forwards from third
             // parties carry no such liveness evidence and are dropped whole.
-            if source == existing.advert.provider && lease_until > existing.lease_until {
-                existing.lease_until = lease_until;
-                let generation = self.schedule_expiry(id, lease_until);
-                self.adverts.get_mut(&id).expect("present above").lease_generation = generation;
+            if source == existing.advert.provider {
+                self.renew(id, lease_until);
             }
             return PublishOutcome::StaleVersion;
         }
@@ -290,20 +334,14 @@ impl RegistryStore {
         if newer {
             existing.requested_lease_ms = requested_lease_ms;
         }
-        let extended = lease_until > existing.lease_until;
-        if extended {
-            existing.lease_until = lease_until;
-        }
         if !unchanged {
-            let new = &self.adverts[&id].advert;
-            // Field-disjoint borrows: `index` is not `adverts`.
-            self.index.remove(id, &old);
-            self.index.insert(id, new);
+            // Field-disjoint borrows: `index` is not `adverts`. The freed
+            // slot is the next one handed out, so a semantic advert that
+            // stays semantic is repacked in place.
+            self.index.remove(id, &old, existing.row);
+            existing.row = self.index.insert(id, &existing.advert, existing.lease_until);
         }
-        if extended {
-            let generation = self.schedule_expiry(id, lease_until);
-            self.adverts.get_mut(&id).expect("present above").lease_generation = generation;
-        }
+        self.renew(id, lease_until);
         if unchanged {
             PublishOutcome::Unchanged
         } else {
@@ -312,29 +350,36 @@ impl RegistryStore {
     }
 
     /// Extends the lease of a known advertisement. Returns `false` when the
-    /// id is unknown (the provider should republish).
+    /// id is unknown (the provider should republish). This is the one place
+    /// a stored advert's lease is written after its first publish: a lease
+    /// only ever grows, and the table, the expiry heap and the advert's match
+    /// row learn of it together.
     pub fn renew(&mut self, id: AdvertId, lease_until: SimTime) -> bool {
         let Some(a) = self.adverts.get_mut(&id) else {
             return false;
         };
         if lease_until > a.lease_until {
             a.lease_until = lease_until;
+            if let Some(row) = self.index.rows.get_mut(a.row as usize) {
+                row.lease_until = lease_until;
+            }
             let generation = self.schedule_expiry(id, lease_until);
             self.adverts.get_mut(&id).expect("present above").lease_generation = generation;
         }
         true
     }
 
+    /// Takes an advert out of the table, the indexes and the match column.
+    /// Any expiry-heap entry for it is now stale and gets skipped on pop.
+    fn evict(&mut self, id: AdvertId) -> Option<StoredAdvert> {
+        let stored = self.adverts.remove(&id)?;
+        self.index.remove(id, &stored.advert, stored.row);
+        Some(stored)
+    }
+
     /// Explicit deregistration. Returns `true` when the advert existed.
     pub fn remove(&mut self, id: AdvertId) -> bool {
-        match self.adverts.remove(&id) {
-            Some(stored) => {
-                // Any heap entry for it is now stale and gets skipped on pop.
-                self.index.remove(id, &stored.advert);
-                true
-            }
-            None => false,
-        }
+        self.evict(id).is_some()
     }
 
     /// Drops every advert whose lease expired at or before `now`; returns the
@@ -358,8 +403,7 @@ impl RegistryStore {
                 self.adverts.iter().map(|(&id, a)| (a.lease_until, id)).collect();
             dead.sort_unstable();
             for &(_, id) in &dead {
-                let stored = self.adverts.remove(&id).expect("collected above");
-                self.index.remove(id, &stored.advert);
+                self.evict(id).expect("collected above");
             }
             self.expiry.clear();
             return dead;
@@ -375,9 +419,8 @@ impl RegistryStore {
                 .get(&id)
                 .is_some_and(|a| a.lease_generation == generation);
             if current {
-                let stored = self.adverts.remove(&id).expect("checked above");
+                let stored = self.evict(id).expect("checked above");
                 debug_assert_eq!(stored.lease_until, t, "current entry carries the lease");
-                self.index.remove(id, &stored.advert);
                 dead.push((t, id));
             }
         }
@@ -451,12 +494,9 @@ impl RegistryStore {
                     return model_bucket(ModelId::Semantic);
                 };
                 if let Some(cat) = req.category {
-                    // Category postings are disjoint (one category per
-                    // advert), so the union needs no deduplication — but ids
-                    // must still be merged into one ascending sequence.
-                    self.merge_postings(&self.index.by_category, idx.related_concepts(cat))
+                    Self::merge_postings(&self.index.by_category, idx, cat)
                 } else if let Some(&out) = req.outputs.first() {
-                    self.merge_postings(&self.index.by_output, idx.related_concepts(out))
+                    Self::merge_postings(&self.index.by_output, idx, out)
                 } else {
                     // No category and no outputs constrains nothing the
                     // inverted indexes cover (inputs/QoS only).
@@ -466,30 +506,134 @@ impl RegistryStore {
         }
     }
 
-    /// Unions the postings of `concepts` into one sorted, deduplicated
-    /// candidate list. A single non-empty posting is borrowed directly.
-    fn merge_postings<'a>(
-        &'a self,
-        postings: &'a HashMap<ClassId, BTreeSet<AdvertId>>,
-        concepts: impl Iterator<Item = ClassId>,
-    ) -> Candidates<'a> {
-        let mut sets: Vec<&'a BTreeSet<AdvertId>> = Vec::new();
-        for c in concepts {
-            if let Some(set) = postings.get(&c) {
-                sets.push(set);
+    /// The non-empty postings of every concept related to `root`, each with
+    /// its concept: what a semantic request constrained on `root` walks.
+    fn related_postings<'a>(
+        postings: &'a HashMap<ClassId, RowPosting>,
+        idx: &'a SubsumptionIndex,
+        root: ClassId,
+    ) -> impl Iterator<Item = (ClassId, &'a RowPosting)> {
+        idx.related_concepts(root).filter_map(move |c| Some((c, postings.get(&c)?)))
+    }
+
+    /// Unions the postings related to `root` into one sorted, deduplicated
+    /// candidate list.
+    fn merge_postings(
+        postings: &HashMap<ClassId, RowPosting>,
+        idx: &SubsumptionIndex,
+        root: ClassId,
+    ) -> Candidates<'static> {
+        let mut merged: Vec<AdvertId> = Self::related_postings(postings, idx, root)
+            .flat_map(|(_, posting)| posting.keys().copied())
+            .collect();
+        if merged.is_empty() {
+            return Candidates::None;
+        }
+        merged.sort_unstable();
+        merged.dedup();
+        Candidates::Merged(merged)
+    }
+
+    /// Confirms a semantic request against the match column and calls `hit`
+    /// with `(id, degree, distance)` for every stored semantic advert that is
+    /// live at `now` and matches, each once, in no particular order. The
+    /// same walk as [`RegistryStore::candidates`] (postings of every concept
+    /// related to the requested category, else to the first requested
+    /// output, else every semantic advert), but a posting hands over the
+    /// advert's row slot, so liveness and the full verdict are read from one
+    /// cache line per candidate; the advert table is consulted only for a
+    /// profile whose concept lists did not fit in its row.
+    pub(crate) fn confirm_semantic(
+        &self,
+        request: &sds_semantic::ServiceRequest,
+        idx: &SubsumptionIndex,
+        now: SimTime,
+        mut hit: impl FnMut(AdvertId, Degree, u32),
+    ) {
+        let compiled = CompiledRequest::compile(idx, request);
+        let rows = &self.index.rows;
+        let mut confirm = |id: AdvertId, slot: u32, by_output: Option<ClassId>| {
+            let row = &rows[slot as usize];
+            if row.lease_until <= now {
+                return;
+            }
+            let (outputs, inputs) = row.concepts(|| self.profile_of(&id));
+            // An advert sits in the posting of each of its outputs, and
+            // several of them can be related to the requested one: it
+            // answers from the first such output's posting only.
+            if let Some(posting) = by_output {
+                let first = outputs.iter().copied().find(|&o| compiled.first_output_related(o));
+                if first != Some(posting) {
+                    return;
+                }
+            }
+            if let Some((degree, distance)) = compiled.verdict(row, outputs, inputs) {
+                hit(id, degree, distance);
+            }
+        };
+        let mut walk = |posting: &RowPosting, by_output: Option<ClassId>| {
+            posting.iter().for_each(|(&id, &slot)| confirm(id, slot, by_output));
+        };
+        // Category postings are disjoint: an advert has one category, so the
+        // first and the last walk meet each advert once.
+        if let Some(cat) = request.category {
+            for (_, posting) in Self::related_postings(&self.index.by_category, idx, cat) {
+                walk(posting, None);
+            }
+        } else if let Some(&out) = request.outputs.first() {
+            for (c, posting) in Self::related_postings(&self.index.by_output, idx, out) {
+                walk(posting, Some(c));
+            }
+        } else {
+            self.index.by_category.values().for_each(|posting| walk(posting, None));
+        }
+    }
+
+    /// The profile of a stored semantic advert.
+    fn profile_of(&self, id: &AdvertId) -> &ServiceProfile {
+        match self.adverts.get(id).map(|a| &a.advert.description) {
+            Some(Description::Semantic(p)) => p,
+            _ => unreachable!("semantic postings name stored semantic adverts"),
+        }
+    }
+
+    /// Test support: panics unless the match column mirrors the table. Every
+    /// stored semantic advert's row is a fresh pack of its profile and lease
+    /// and its postings carry that row's slot; every posting entry names a
+    /// stored advert that advertises the concept; every slot is either one
+    /// advert's or on the free list, never both or twice. Returns the
+    /// column's length, free slots included.
+    #[doc(hidden)]
+    pub fn audit_match_column(&self) -> usize {
+        let ix = &self.index;
+        let mut accounted = vec![false; ix.rows.len()];
+        let mut account = |slot: u32, what: &dyn std::fmt::Debug| {
+            let twice = std::mem::replace(&mut accounted[slot as usize], true);
+            assert!(!twice, "slot {slot} of {what:?} is already an advert's or free");
+        };
+        for (id, stored) in &self.adverts {
+            let Description::Semantic(p) = &stored.advert.description else {
+                assert_eq!(stored.row, NO_ROW, "{id:?}: only semantic adverts have rows");
+                continue;
+            };
+            account(stored.row, id);
+            let row = &ix.rows[stored.row as usize];
+            let fresh = MatchRow::pack(p, stored.lease_until);
+            assert!(row.same_as(&fresh), "{id:?}: row {row:?} drifted from {fresh:?}");
+            assert_eq!(ix.by_category[&p.category].get(id), Some(&stored.row));
+            for out in &p.outputs {
+                assert_eq!(ix.by_output[out].get(id), Some(&stored.row));
             }
         }
-        match sets.len() {
-            0 => Candidates::None,
-            1 => Candidates::Set(sets[0]),
-            _ => {
-                let mut merged: Vec<AdvertId> =
-                    sets.iter().flat_map(|s| s.iter().copied()).collect();
-                merged.sort_unstable();
-                merged.dedup();
-                Candidates::Merged(merged)
-            }
+        for (c, posting) in &ix.by_category {
+            assert!(posting.keys().all(|id| self.profile_of(id).category == *c), "{c:?}");
         }
+        for (c, posting) in &ix.by_output {
+            assert!(posting.keys().all(|id| self.profile_of(id).outputs.contains(c)), "{c:?}");
+        }
+        ix.free_rows.iter().for_each(|&slot| account(slot, &"the free list"));
+        assert!(accounted.iter().all(|&a| a), "a slot is neither an advert's nor free");
+        ix.rows.len()
     }
 
     pub fn get(&self, id: &AdvertId) -> Option<&StoredAdvert> {

@@ -1,45 +1,74 @@
 //! Property-based tests for the registry store: lease arithmetic, purge
-//! correctness against a naive model, version monotonicity, and the
-//! query-id dedup cache. Run under the in-workspace seeded harness
-//! (`sds_rand::check`).
+//! correctness against a naive model, version monotonicity, the match
+//! column's coherence with the table, and the query-id dedup cache. Run
+//! under the in-workspace seeded harness (`sds_rand::check`).
 
 use sds_rand::check::{gen, Checker};
 use sds_rand::Rng;
 
 use sds_protocol::{Advertisement, Description, QueryId, Uuid};
 use sds_registry::{LeasePolicy, RegistryStore, SeenQueries};
-use sds_simnet::NodeId;
+use sds_semantic::{ClassId, QosKey, ServiceProfile};
+use sds_simnet::{NodeId, SimTime};
 
-fn advert(id: u128, version: u32) -> Advertisement {
-    Advertisement {
-        id: Uuid(id),
-        provider: NodeId(id as u32),
-        description: Description::Uri(format!("urn:{id}")),
-        version,
+/// A URI description one time in three, else a semantic profile: 0–3
+/// outputs and 0–3 inputs (so some rows spill past their inline concepts), ids
+/// up to `u32::MAX`, repeated QoS keys and non-finite values. Drawn fresh
+/// per publish, so a same-version publish usually differs in content and a
+/// newer one can change model.
+fn arb_description(rng: &mut Rng, id: u128) -> Description {
+    if rng.gen_range(0..3u32) == 0 {
+        return Description::Uri(format!("urn:{id}"));
     }
+    let concept = |r: &mut Rng| match r.gen_range(0..8u32) {
+        0 => ClassId(u32::MAX),
+        _ => ClassId(r.gen_range(0..6u32)),
+    };
+    let mut p = ServiceProfile::new(format!("s{id}"), concept(rng))
+        .with_outputs(&gen::vec_of(rng, 0, 4, concept))
+        .with_inputs(&gen::vec_of(rng, 0, 4, concept));
+    for _ in 0..rng.gen_range(0..4u32) {
+        let key = [QosKey::LatencyMs, QosKey::Accuracy][rng.gen_range(0..2usize)];
+        let value = [0.5, f64::NAN, f64::INFINITY][rng.gen_range(0..3usize)];
+        p = p.with_qos(key, value);
+    }
+    Description::Semantic(p)
 }
 
 #[derive(Clone, Debug)]
 enum StoreOp {
-    Publish { id: u128, version: u32, lease_until: u64, from_provider: bool },
+    Publish {
+        id: u128,
+        version: u32,
+        description: Description,
+        lease_until: u64,
+        from_provider: bool,
+    },
     Renew { id: u128, lease_until: u64 },
     Remove { id: u128 },
     Purge { now: u64 },
 }
 
 fn arb_store_op(rng: &mut Rng) -> StoreOp {
-    match rng.gen_range(0..4u32) {
-        0 => StoreOp::Publish {
+    match rng.gen_range(0..5u32) {
+        0 | 1 => {
+            let id = u128::from(rng.gen_range(0..8u64));
+            StoreOp::Publish {
+                id,
+                version: rng.gen_range(0..4u32),
+                description: arb_description(rng, id),
+                lease_until: rng.gen_range(1..1_000u64),
+                from_provider: rng.gen_range(0..2u32) == 0,
+            }
+        }
+        2 => StoreOp::Renew {
             id: u128::from(rng.gen_range(0..8u64)),
-            version: rng.gen_range(0..4u32),
-            lease_until: rng.gen_range(1..1_000u64),
-            from_provider: rng.gen_range(0..2u32) == 0,
-        },
-        1 => StoreOp::Renew {
-            id: u128::from(rng.gen_range(0..8u64)),
             lease_until: rng.gen_range(1..1_000u64),
         },
-        2 => StoreOp::Remove { id: u128::from(rng.gen_range(0..8u64)) },
+        3 => StoreOp::Remove { id: u128::from(rng.gen_range(0..8u64)) },
+        // One purge in eight is at the end of time, which takes the store's
+        // other purge loop (and every advert).
+        _ if rng.gen_range(0..8u32) == 0 => StoreOp::Purge { now: SimTime::MAX },
         _ => StoreOp::Purge { now: rng.gen_range(0..1_000u64) },
     }
 }
@@ -56,13 +85,21 @@ fn store_agrees_with_naive_model() {
         let ops = gen::vec_of(rng, 0, 80, arb_store_op);
         let mut store = RegistryStore::new();
         let mut model = Model::default();
+        // The most semantic adverts the store has held at once.
+        let mut semantic_high_water = 0;
         for op in ops {
             match op {
-                StoreOp::Publish { id, version, lease_until, from_provider } => {
+                StoreOp::Publish { id, version, description, lease_until, from_provider } => {
                     // The advert's provider is NodeId(id); third-party
                     // sources model replication forwards.
                     let source = if from_provider { NodeId(id as u32) } else { NodeId(999) };
-                    store.publish(advert(id, version), source, 0, lease_until, 0);
+                    let advert = Advertisement {
+                        id: Uuid(id),
+                        provider: NodeId(id as u32),
+                        description,
+                        version,
+                    };
+                    store.publish(advert, source, 0, lease_until, 0);
                     match model.adverts.get_mut(&id) {
                         Some((v, l)) if version >= *v => {
                             *v = version;
@@ -110,6 +147,15 @@ fn store_agrees_with_naive_model() {
                 assert_eq!(stored.advert.version, version);
                 assert_eq!(stored.lease_until, lease_until);
             }
+            // The column never drifts from the table, whichever write path
+            // ran, and churn does not leak rows: freed slots are reused
+            // before the column grows.
+            let semantic = store
+                .iter()
+                .filter(|a| matches!(a.advert.description, Description::Semantic(_)))
+                .count();
+            semantic_high_water = semantic_high_water.max(semantic);
+            assert!(store.audit_match_column() <= semantic_high_water);
         }
     });
 }

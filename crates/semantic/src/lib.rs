@@ -42,5 +42,5 @@ pub use matchmaker::{match_concept, match_request, Degree, MatchResult, Matchmak
 pub use mediation::{ClassMapping, Mediator};
 pub use ontology::{ClassId, Ontology, OntologyError};
 pub use profile::{QosConstraint, QosKey, QosValue, ServiceProfile, ServiceRequest};
-pub use reasoner::SubsumptionIndex;
+pub use reasoner::{ConceptClosure, SubsumptionIndex};
 pub use triple::{Triple, TriplePattern, TripleStore};

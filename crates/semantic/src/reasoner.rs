@@ -21,6 +21,16 @@ pub struct SubsumptionIndex {
     n: usize,
 }
 
+/// One class's rows of a [`SubsumptionIndex`], borrowed: bit `i` of
+/// `ancestors` (`descendants`) is set when class `i` subsumes (is subsumed
+/// by) the class, itself included.
+#[derive(Clone, Copy, Debug)]
+pub struct ConceptClosure<'a> {
+    pub ancestors: &'a BitSet,
+    pub descendants: &'a BitSet,
+    pub depth: u32,
+}
+
 impl SubsumptionIndex {
     /// Builds the closure. Classes are ordered parents-before-children by
     /// [`Ontology`] construction, so one forward pass suffices.
@@ -138,8 +148,22 @@ impl SubsumptionIndex {
             .chain(unknown)
     }
 
+    /// The precomputed closure of `c`: what a caller matching one concept
+    /// against many needs to turn every later subsumption test into a bit
+    /// probe and every distance into a subtraction. `None` for a class
+    /// outside this ontology, which relates only to itself.
+    #[inline]
+    pub fn closure(&self, c: ClassId) -> Option<ConceptClosure<'_>> {
+        Some(ConceptClosure {
+            ancestors: self.ancestors.get(c.index())?,
+            descendants: &self.descendants[c.index()],
+            depth: self.depth[c.index()],
+        })
+    }
+
     /// Depth of `c` (longest chain to a root; roots have depth 0). Classes
     /// outside this ontology count as roots of their own trivial hierarchy.
+    #[inline]
     pub fn depth(&self, c: ClassId) -> u32 {
         self.depth.get(c.index()).copied().unwrap_or(0)
     }
@@ -259,6 +283,22 @@ mod tests {
         }
         assert!(idx.related_concepts(radar).any(|x| x == sensor));
         assert!(!idx.related_concepts(radar).any(|x| x == weapon));
+    }
+
+    #[test]
+    fn closure_rows_agree_with_the_pairwise_tests() {
+        let (o, _) = diamond();
+        let idx = SubsumptionIndex::build(&o);
+        for a in o.classes() {
+            let c = idx.closure(a).expect("in-ontology class");
+            assert_eq!(c.depth, idx.depth(a));
+            for b in o.classes() {
+                assert_eq!(c.ancestors.contains(b.index()), idx.is_subclass(a, b));
+                assert_eq!(c.descendants.contains(b.index()), idx.is_subclass(b, a));
+            }
+        }
+        assert!(idx.closure(ClassId(o.len() as u32)).is_none(), "out of ontology");
+        assert!(idx.closure(ClassId(u32::MAX)).is_none());
     }
 
     #[test]

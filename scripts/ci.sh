@@ -20,7 +20,7 @@ cargo test --release --offline --manifest-path benchmark/Cargo.toml
 # parse, find every seed-exact metric equal and every end-to-end metric
 # inside its bound. Comparing two revisions is a manual step (see the
 # script's header); the files under bench-results/ are what each PR ran it on.
-scripts/bench_compare.sh bench-results/pr21.results bench-results/pr21.results > /dev/null
+scripts/bench_compare.sh bench-results/pr24.results bench-results/pr24.results > /dev/null
 
 # Bounded chaos soak (quick mode): fixed 8-seed sweep of combined churn +
 # fault injection with post-heal convergence invariants. Deterministic, so
