@@ -14,8 +14,9 @@
 //! * **delivery mode** — `shared` reads each payload through the shared
 //!   `Rc` (zero-copy fast path); `owning` takes it by value, forcing a
 //!   clone per delivered copy (≈ the pre-optimization engine);
-//! * **engine** — `seq` is the sequential engine; `parW` is the partitioned
-//!   engine (`PartitionPlan::Domains(W)`, W worker threads). The `≥ 2×`
+//! * **engine** — `seq` is the one-domain plan (`PartitionPlan::Single`),
+//!   which runs on the calling thread; `parW` is the same engine with
+//!   `PartitionPlan::Domains(W)` and W worker threads. The `≥ 2×`
 //!   speedup acceptance check runs only in full mode on machines with at
 //!   least 4 cores — on smaller machines the ratio is still measured and
 //!   printed, just not asserted;
@@ -261,7 +262,7 @@ fn main() {
         evps
     };
 
-    // ---- Delivery-mode sweep on the sequential engine (historical series).
+    // ---- Delivery-mode sweep in one domain (historical series).
     let sizes: &[usize] = if quick { &[100, 1_000] } else { &[100, 1_000, 10_000, 100_000] };
     for &(mode, shared) in &[("shared", true), ("owning", false)] {
         for &n in sizes {
@@ -271,7 +272,7 @@ fn main() {
         }
     }
 
-    // ---- Engine sweep: sequential vs partitioned at 2 and 4 workers.
+    // ---- Engine sweep: one domain vs 2 and 4 domains on as many workers.
     let engine_n = if quick { 1_000 } else { 100_000 };
     let seq_spec = Spec {
         n: engine_n,

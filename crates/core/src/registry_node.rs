@@ -1297,19 +1297,38 @@ impl RegistryNode {
                 }
             }
             PublishOp::RenewLease { id } => {
-                // A renewal can revive an expired-but-unpurged advert, which
-                // changes query results without new content: invalidate.
-                let revived = self
+                // A provider renewing a copy we hold only as a replica (its
+                // publish to us was lost, or a peer's replica overwrote it)
+                // is attached here: re-adopt the copy as first-hand, or no
+                // registry offers it to the federation once the peer's own
+                // copy lapses. Re-publishing revives and invalidates like
+                // the plain renewal below.
+                let replica = self
                     .engine
                     .store()
                     .get(&id)
-                    .and_then(|s| (!s.is_live(ctx.now())).then(|| s.advert.clone()));
-                let (known, lease_until) = self.engine.renew(id, ctx.now());
-                if known {
-                    if let Some(advert) = revived {
-                        self.invalidate_cache(&advert);
+                    .filter(|s| s.advert.provider == from && s.source != from)
+                    .map(|s| (s.advert.clone(), s.requested_lease_ms));
+                let (known, lease_until) = if let Some((advert, lease_ms)) = replica {
+                    let (_, lease_until) = self.publish_cached(advert, from, ctx.now(), lease_ms);
+                    (true, lease_until)
+                } else {
+                    // A renewal can revive an expired-but-unpurged advert,
+                    // which changes query results without new content:
+                    // invalidate.
+                    let revived = self
+                        .engine
+                        .store()
+                        .get(&id)
+                        .and_then(|s| (!s.is_live(ctx.now())).then(|| s.advert.clone()));
+                    let (known, lease_until) = self.engine.renew(id, ctx.now());
+                    if known {
+                        if let Some(advert) = revived {
+                            self.invalidate_cache(&advert);
+                        }
                     }
-                }
+                    (known, lease_until)
+                };
                 send_msg(
                     ctx,
                     self.cfg.codec,

@@ -117,6 +117,43 @@ fn reinstate_respects_disabled_push_replication() {
     );
 }
 
+/// A provider renewing at a registry that holds its advert only as a peer's
+/// replica (its publish there was lost) makes that copy first-hand: else no
+/// registry offers the advert to the federation once the peer's own copy
+/// lapses, and the replicas diverge for good.
+#[test]
+fn a_provider_renewal_readopts_a_replica_as_first_hand() {
+    let (mut sim, lan0, lan1) = two_lan_sim();
+    let cfg = RegistryConfig { strategy: ForwardStrategy::None, ..Default::default() };
+    let r0 = sim.add_node(lan0, Box::new(RegistryNode::new(cfg.clone(), None)));
+    let r1 = sim.add_node(
+        lan1,
+        Box::new(RegistryNode::new(RegistryConfig { seeds: vec![r0], ..cfg }, None)),
+    );
+    let _s = sim.add_node(
+        lan1,
+        Box::new(ServiceNode::new(
+            ServiceConfig::default(),
+            vec![Description::Uri("urn:svc:moved".into())],
+            None,
+        )),
+    );
+    sim.run_until(secs(15));
+    let (id, provider, source) = {
+        let store = sim.handler::<RegistryNode>(r0).unwrap().engine().store();
+        let st = store.iter().next().expect("replica arrived at r0");
+        (st.advert.id, st.advert.provider, st.source)
+    };
+    assert_eq!(source, r1, "r0 holds r1's replica");
+    sim.with_node::<RegistryNode>(r0, |n, ctx| {
+        n.on_message(ctx, provider, DiscoveryMessage::publishing(PublishOp::RenewLease { id }));
+    });
+    let now = sim.now();
+    let store = sim.handler::<RegistryNode>(r0).unwrap().engine().store();
+    assert_eq!(store.get(&id).unwrap().source, provider, "the renewal re-adopted the copy");
+    assert_eq!(store.first_hand(now).count(), 1, "r0 now offers it to its peers");
+}
+
 /// The anti-entropy plane replicates without ever sending a full-state push:
 /// a remote first-hand advert appears as a replica after one digest/delta
 /// exchange, answers queries locally, stays alive through delta-encoded

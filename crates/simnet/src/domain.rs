@@ -6,20 +6,19 @@
 //! table (handlers, liveness, epochs, lazily boxed RNG slots, per-node timer
 //! counters and delivery counters — parallel `Vec`s indexed by the node's
 //! *local* slot), its LANs' link/fault RNG streams, fault profiles, medium
-//! busy-until clocks, timer cells, and traffic counters. The coordinator
-//! ([`crate::Sim`]) owns the read-only world (config, topology, global→local
-//! maps, WAN fault profiles) and hands it in by reference for each run.
+//! and WAN-uplink busy-until clocks, timer cells, and traffic counters. The
+//! coordinator ([`crate::Sim`]) owns the read-only world (config, topology,
+//! global→local maps, WAN fault profiles) and hands it in by reference for
+//! each run.
 //!
-//! In legacy mode there is exactly one domain and its behaviour is
-//! bit-for-bit the PR 5 sequential engine (single `simnet.link` /
-//! `simnet.fault` RNG streams, one global timer-id counter, one shared WAN
-//! pipe, controls dispatched in-wheel). In partitioned mode every
-//! transmit-time draw is attributable to the *sender's LAN* (per-LAN
-//! `simnet.lan.link` / `simnet.lan.fault` streams), timer ids are
-//! node-scoped, and cross-domain deliveries are fully sampled sender-side
-//! and handed off through per-destination outboxes — which is what makes a
-//! domain's execution a pure function of its inputs, independent of worker
-//! scheduling.
+//! Every transmit-time draw is attributable to the *sender's LAN* (per-LAN
+//! `simnet.lan.link` / `simnet.lan.fault` streams), every LAN serializes
+//! its WAN sends on its own uplink, timer ids are node-scoped, and
+//! cross-domain deliveries are fully sampled sender-side and handed off
+//! through per-destination outboxes — which is what makes a domain's
+//! execution a pure function of its inputs, independent of worker
+//! scheduling and of how many other domains exist. A one-domain sim is the
+//! same code with no cross-domain traffic.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, HashMap};
@@ -27,8 +26,8 @@ use std::rc::Rc;
 
 use sds_rand::{Rng, Seed};
 
-use crate::engine::{ControlAction, Corruptor, FaultProfile, NodeCapacity, SimConfig};
-use crate::handler::{Action, Ctx, NodeHandler, TimerAlloc};
+use crate::engine::{Corruptor, FaultProfile, NodeCapacity, SimConfig};
+use crate::handler::{Action, Ctx, NodeHandler};
 use crate::ids::{LanId, NodeId, TimerId};
 use crate::message::{Destination, MsgKind};
 use crate::stats::{NetStats, Scope};
@@ -59,11 +58,6 @@ pub(crate) enum Queued<P> {
     /// stamp, and a mismatched stamp here means "already cancelled — skip".
     /// No tombstone set, no memory held until the dead timer's fire time.
     Timer { slot: u32, gen: u64 },
-    /// Legacy mode only: scheduled world mutations ride the wheel so their
-    /// dispatch order interleaves with traffic exactly as it always did.
-    /// They need `&mut` access to the shared world, which a domain does not
-    /// have — the run loop *yields* them to the coordinator and resumes.
-    Control(ControlAction),
     /// Placeholder left behind while a bucket entry is being dispatched
     /// (buckets drain by index because a handler may append same-time
     /// events to the bucket currently draining).
@@ -127,7 +121,7 @@ pub(crate) struct EventCore<P> {
     /// buckets as `now` approaches (see [`EventCore::migrate_until`]).
     pub(crate) far: BinaryHeap<Reverse<FarEvent<P>>>,
     pub(crate) far_seq: u64,
-    /// Live queued events (deliveries + pending timers + controls):
+    /// Live queued events (deliveries + pending timers):
     /// incremented on push, decremented on dispatch and on cancel.
     pub(crate) live_events: usize,
 }
@@ -258,8 +252,8 @@ pub(crate) struct NodeTable<P> {
     /// derive private labelled sub-streams (retry jitter etc.) that never
     /// perturb the main per-node stream.
     pub(crate) seeds: Vec<Seed>,
-    /// Partitioned-mode timer-id allocators: ids are `(node << 32) | ctr`,
-    /// so allocation is domain-local yet globally unique.
+    /// Node-scoped timer-id counters: ids are `(node << 32) | ctr`, so
+    /// allocation is domain-local yet globally unique.
     pub(crate) timer_ctrs: Vec<u32>,
     /// Deliveries handed to each node's handler — the per-node stats column
     /// of the SoA table (cheap enough to keep always-on at 10⁶ nodes).
@@ -302,43 +296,6 @@ impl<P> NodeTable<P> {
     }
 }
 
-/// Which RNG streams feed transmit-time draws (loss, latency jitter,
-/// duplication, reordering, corruption).
-pub(crate) enum RngAttr {
-    /// Legacy: the historical single `simnet.link` / `simnet.fault` streams,
-    /// drawn in global dispatch order. Only possible with one domain.
-    Shared { link: Rng, fault: Rng },
-    /// Partitioned: one stream pair per *sender LAN* (indexed by the
-    /// domain-local LAN slot). Every transmit-time draw is attributable to
-    /// the sending LAN, hence partition-local — the property that lets
-    /// domains run concurrently without serializing a global stream.
-    PerLan { link: Vec<Rng>, fault: Vec<Rng> },
-}
-
-impl RngAttr {
-    pub(crate) fn link_mut(&mut self, lan_slot: usize) -> &mut Rng {
-        match self {
-            RngAttr::Shared { link, .. } => link,
-            RngAttr::PerLan { link, .. } => &mut link[lan_slot],
-        }
-    }
-
-    pub(crate) fn fault_mut(&mut self, lan_slot: usize) -> &mut Rng {
-        match self {
-            RngAttr::Shared { fault, .. } => fault,
-            RngAttr::PerLan { fault, .. } => &mut fault[lan_slot],
-        }
-    }
-}
-
-/// WAN serialization state. Legacy keeps the single shared reach-back pipe;
-/// partitioned mode gives each LAN its own uplink (a shared mutable pipe
-/// would serialize the domains).
-pub(crate) enum WanBusy {
-    Shared(SimTime),
-    PerLan(Vec<SimTime>),
-}
-
 /// One cross-domain delivery, fully sampled sender-side (loss, serialization,
 /// latency, duplication fan-out, reordering, corruption all already applied)
 /// and carrying an owned payload — `Rc` clones never cross a domain
@@ -352,17 +309,10 @@ pub(crate) struct CrossMsg<P> {
     pub(crate) kind: MsgKind,
 }
 
-/// How the engine executes: see the module docs.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub(crate) enum ExecMode {
-    Legacy,
-    Partitioned,
-}
-
 /// The read-only world a domain runs against: simulation config, topology,
 /// global→local id maps, and the WAN fault profiles. Controls mutate these
-/// only between runs (legacy: between yields; partitioned: at window
-/// barriers), so sharing them immutably across worker threads is safe.
+/// only at window barriers, so sharing them immutably across worker
+/// threads is safe.
 pub(crate) struct World<'a> {
     pub(crate) cfg: &'a SimConfig,
     pub(crate) topo: &'a Topology,
@@ -373,26 +323,18 @@ pub(crate) struct World<'a> {
     pub(crate) wan_pair_faults: &'a BTreeMap<(LanId, LanId), FaultProfile>,
 }
 
-/// What stopped a [`Domain::run_events`] call.
-pub(crate) enum RunOutcome {
-    /// Drained everything at or before the limit.
-    Done,
-    /// Legacy mode: a control event surfaced. The domain cannot apply it
-    /// (controls mutate the shared world), so it is yielded to the
-    /// coordinator; the drain position is preserved and the next
-    /// `run_events` call resumes exactly where this one stopped.
-    Control(ControlAction),
-}
-
 /// One share-nothing execution partition. See the module docs.
 pub(crate) struct Domain<P> {
     pub(crate) index: u16,
-    pub(crate) mode: ExecMode,
     pub(crate) core: EventCore<P>,
     pub(crate) nodes: NodeTable<P>,
-    pub(crate) rng_attr: RngAttr,
-    /// Legacy-mode global timer-id counter (unused in partitioned mode).
-    pub(crate) next_timer: u64,
+    /// Transmit-time RNG streams (loss and latency jitter; duplication,
+    /// reordering and corruption), one per *sender LAN*, indexed by the
+    /// domain-local LAN slot. Every draw is attributable to the sending
+    /// LAN, hence partition-local — the property that lets domains run
+    /// concurrently without serializing a global stream.
+    pub(crate) link: Vec<Rng>,
+    pub(crate) fault: Vec<Rng>,
     /// The timer cells (see [`TimerSlot`]) plus their free list.
     pub(crate) timer_table: Vec<TimerSlot>,
     pub(crate) timer_free: Vec<u32>,
@@ -405,7 +347,9 @@ pub(crate) struct Domain<P> {
     pub(crate) events_processed: u64,
     /// Per-local-LAN medium busy-until time (bandwidth model).
     pub(crate) lan_busy_until: Vec<SimTime>,
-    pub(crate) wan_busy: WanBusy,
+    /// Per-local-LAN WAN uplink busy-until time: each LAN serializes its
+    /// own WAN sends (a pipe shared across LANs would couple the domains).
+    pub(crate) wan_busy_until: Vec<SimTime>,
     /// Per-local-LAN fault profiles.
     pub(crate) lan_faults: Vec<FaultProfile>,
     pub(crate) corruptor: Option<Corruptor<P>>,
@@ -414,8 +358,8 @@ pub(crate) struct Domain<P> {
     pub(crate) multicast_scratch: Vec<NodeId>,
     /// Reused action buffer handed to `Ctx` — no per-invoke allocation.
     pub(crate) actions_scratch: Vec<Action<P>>,
-    /// Partitioned mode: per-destination-domain outboxes, drained by the
-    /// coordinator at every barrier in fixed (source, destination) order.
+    /// Per-destination-domain outboxes, drained by the coordinator at every
+    /// barrier in fixed (source, destination) order.
     pub(crate) outboxes: Vec<Vec<CrossMsg<P>>>,
 }
 
@@ -432,58 +376,30 @@ pub(crate) struct Domain<P> {
 unsafe impl<P: Send> Send for Domain<P> {}
 
 impl<P: Clone + Send + 'static> Domain<P> {
-    pub(crate) fn new(index: u16, mode: ExecMode, seed: u64, lans: Vec<LanId>, n_domains: usize) -> Self {
+    pub(crate) fn new(index: u16, seed: u64, lans: Vec<LanId>, n_domains: usize) -> Self {
         let nl = lans.len();
-        let rng_attr = match mode {
-            ExecMode::Legacy => RngAttr::Shared {
-                link: Seed(seed).derive("simnet.link").rng(),
-                fault: Seed(seed).derive("simnet.fault").rng(),
-            },
-            ExecMode::Partitioned => RngAttr::PerLan {
-                link: lans
-                    .iter()
-                    .map(|l| Seed(seed).derive_idx("simnet.lan.link", u64::from(l.0)).rng())
-                    .collect(),
-                fault: lans
-                    .iter()
-                    .map(|l| Seed(seed).derive_idx("simnet.lan.fault", u64::from(l.0)).rng())
-                    .collect(),
-            },
-        };
-        let wan_busy = match mode {
-            ExecMode::Legacy => WanBusy::Shared(0),
-            ExecMode::Partitioned => WanBusy::PerLan(vec![0; nl]),
-        };
-        let outboxes = match mode {
-            ExecMode::Legacy => Vec::new(),
-            ExecMode::Partitioned => (0..n_domains).map(|_| Vec::new()).collect(),
+        let streams = |label: &str| -> Vec<Rng> {
+            lans.iter().map(|l| Seed(seed).derive_idx(label, u64::from(l.0)).rng()).collect()
         };
         Self {
             index,
-            mode,
             core: EventCore::new(),
             nodes: NodeTable::new(),
-            rng_attr,
-            next_timer: 0,
+            link: streams("simnet.lan.link"),
+            fault: streams("simnet.lan.fault"),
             timer_table: Vec::new(),
             timer_free: Vec::new(),
             timer_slots: HashMap::new(),
             stats: NetStats::default(),
             events_processed: 0,
             lan_busy_until: vec![0; nl],
-            wan_busy: WanBusy::Shared(0),
+            wan_busy_until: vec![0; nl],
             lan_faults: vec![FaultProfile::default(); nl],
             corruptor: None,
             multicast_scratch: Vec::new(),
             actions_scratch: Vec::new(),
-            outboxes,
+            outboxes: (0..n_domains).map(|_| Vec::new()).collect(),
         }
-        .with_wan_busy(wan_busy)
-    }
-
-    fn with_wan_busy(mut self, wan_busy: WanBusy) -> Self {
-        self.wan_busy = wan_busy;
-        self
     }
 
     /// Dispatches every event with `at <= limit`, in `(at, push-order)`
@@ -493,20 +409,13 @@ impl<P: Clone + Send + 'static> Domain<P> {
     /// queued — exactly the old comparison-heap order. A bucket whose only
     /// entries were cancelled timers still advances the clock to its time,
     /// matching the old engine's handling of dead heap keys.
-    pub(crate) fn run_events(&mut self, limit: SimTime, world: &World<'_>) -> RunOutcome {
+    pub(crate) fn run_events(&mut self, limit: SimTime, world: &World<'_>) {
         loop {
             let bi = (self.core.now as usize) & WHEEL_MASK;
             if self.core.drain_pos < self.core.buckets[bi].len() {
                 let pos = self.core.drain_pos;
                 self.core.drain_pos += 1;
                 let ev = std::mem::replace(&mut self.core.buckets[bi][pos], Queued::Consumed);
-                if let Queued::Control(action) = ev {
-                    // Counted as dispatched *before* the yield, so the
-                    // resume cannot double-count it.
-                    self.events_processed += 1;
-                    self.core.live_events -= 1;
-                    return RunOutcome::Control(action);
-                }
                 if self.dispatch(ev, world) {
                     self.events_processed += 1;
                     self.core.live_events -= 1;
@@ -516,9 +425,9 @@ impl<P: Clone + Send + 'static> Domain<P> {
             self.core.buckets[bi].clear();
             self.core.occupied[bi >> 6] &= !(1u64 << (bi & 63));
             self.core.drain_pos = 0;
-            let Some(next) = self.core.next_event_time() else { return RunOutcome::Done };
+            let Some(next) = self.core.next_event_time() else { return };
             if next > limit {
-                return RunOutcome::Done;
+                return;
             }
             self.core.migrate_until(next);
             self.core.now = next;
@@ -597,7 +506,6 @@ impl<P: Clone + Send + 'static> Domain<P> {
                 true
             }
             Queued::Consumed => unreachable!("consumed entries are never revisited"),
-            Queued::Control(_) => unreachable!("controls are yielded before dispatch"),
         }
     }
 
@@ -611,19 +519,13 @@ impl<P: Clone + Send + 'static> Domain<P> {
         let mut handler = self.nodes.handlers[li].take().expect("handler present");
         let mut actions = std::mem::take(&mut self.actions_scratch);
         actions.clear();
-        let timer_alloc = match self.mode {
-            ExecMode::Legacy => TimerAlloc::Global(&mut self.next_timer),
-            ExecMode::Partitioned => {
-                TimerAlloc::PerNode { node: node.0, ctr: &mut self.nodes.timer_ctrs[li] }
-            }
-        };
         let mut ctx = Ctx {
             now: self.core.now,
             node,
             lan: world.topo.lan_of(node),
             seed: self.nodes.seeds[li],
             rng: &mut self.nodes.rngs[li],
-            timer_alloc,
+            timer_ctr: &mut self.nodes.timer_ctrs[li],
             actions,
         };
         f(handler.as_mut(), &mut ctx);
@@ -728,9 +630,7 @@ impl<P: Clone + Send + 'static> Domain<P> {
                     return;
                 }
                 let serialization = self.reserve_medium(scope, fl, bytes, world);
-                if self.mode == ExecMode::Partitioned
-                    && world.lan_domain[to_lan.index()] != self.index
-                {
+                if world.lan_domain[to_lan.index()] != self.index {
                     let dst = world.lan_domain[to_lan.index()] as usize;
                     self.deliver_faulty_cross(faults, serialization, to, from, payload, kind, fl, dst, world);
                 } else {
@@ -787,7 +687,7 @@ impl<P: Clone + Send + 'static> Domain<P> {
         fl: usize,
         world: &World<'_>,
     ) {
-        let copies = if faults.duplicate > 0.0 && self.rng_attr.fault_mut(fl).gen_bool(faults.duplicate)
+        let copies = if faults.duplicate > 0.0 && self.fault[fl].gen_bool(faults.duplicate)
         {
             self.stats.record_duplicate();
             2
@@ -798,7 +698,7 @@ impl<P: Clone + Send + 'static> Domain<P> {
             // Each copy samples its own latency and reorder delay, so a
             // duplicate can overtake the original.
             let reorder = if faults.reorder_jitter > 0 {
-                let extra = self.rng_attr.fault_mut(fl).gen_range(0..=faults.reorder_jitter);
+                let extra = self.fault[fl].gen_range(0..=faults.reorder_jitter);
                 if extra > 0 {
                     self.stats.record_reorder_delay();
                 }
@@ -806,10 +706,10 @@ impl<P: Clone + Send + 'static> Domain<P> {
             } else {
                 0
             };
-            let p = if faults.corrupt > 0.0 && self.rng_attr.fault_mut(fl).gen_bool(faults.corrupt) {
+            let p = if faults.corrupt > 0.0 && self.fault[fl].gen_bool(faults.corrupt) {
                 self.stats.record_corrupted();
                 let mutated = match self.corruptor.as_mut() {
-                    Some(hook) => hook(self.rng_attr.fault_mut(fl), &payload),
+                    Some(hook) => hook(&mut self.fault[fl],&payload),
                     None => None,
                 };
                 match mutated {
@@ -848,7 +748,7 @@ impl<P: Clone + Send + 'static> Domain<P> {
         dst: usize,
         world: &World<'_>,
     ) {
-        let copies = if faults.duplicate > 0.0 && self.rng_attr.fault_mut(fl).gen_bool(faults.duplicate)
+        let copies = if faults.duplicate > 0.0 && self.fault[fl].gen_bool(faults.duplicate)
         {
             self.stats.record_duplicate();
             2
@@ -858,7 +758,7 @@ impl<P: Clone + Send + 'static> Domain<P> {
         let mut remaining = Some(payload);
         for copy in 0..copies {
             let reorder = if faults.reorder_jitter > 0 {
-                let extra = self.rng_attr.fault_mut(fl).gen_range(0..=faults.reorder_jitter);
+                let extra = self.fault[fl].gen_range(0..=faults.reorder_jitter);
                 if extra > 0 {
                     self.stats.record_reorder_delay();
                 }
@@ -867,10 +767,10 @@ impl<P: Clone + Send + 'static> Domain<P> {
                 0
             };
             let original = remaining.as_ref().expect("payload present until last copy");
-            let p = if faults.corrupt > 0.0 && self.rng_attr.fault_mut(fl).gen_bool(faults.corrupt) {
+            let p = if faults.corrupt > 0.0 && self.fault[fl].gen_bool(faults.corrupt) {
                 self.stats.record_corrupted();
                 let mutated = match self.corruptor.as_mut() {
-                    Some(hook) => hook(self.rng_attr.fault_mut(fl), original),
+                    Some(hook) => hook(&mut self.fault[fl],original),
                     None => None,
                 };
                 match mutated {
@@ -913,7 +813,7 @@ impl<P: Clone + Send + 'static> Domain<P> {
     }
 
     fn sample_fault_loss(&mut self, fl: usize, faults: FaultProfile) -> bool {
-        faults.loss > 0.0 && self.rng_attr.fault_mut(fl).gen_bool(faults.loss)
+        faults.loss > 0.0 && self.fault[fl].gen_bool(faults.loss)
     }
 
     /// Reserves the shared medium for `bytes` and returns the serialization
@@ -931,10 +831,7 @@ impl<P: Clone + Send + 'static> Domain<P> {
         let tx_ms = (u64::from(bytes) * 8).div_ceil(u64::from(rate_kbps)).max(1);
         let busy = match scope {
             Scope::Lan => &mut self.lan_busy_until[fl],
-            Scope::Wan => match &mut self.wan_busy {
-                WanBusy::Shared(t) => t,
-                WanBusy::PerLan(v) => &mut v[fl],
-            },
+            Scope::Wan => &mut self.wan_busy_until[fl],
         };
         let start = (*busy).max(self.core.now);
         *busy = start + tx_ms;
@@ -946,7 +843,7 @@ impl<P: Clone + Send + 'static> Domain<P> {
             Scope::Lan => world.cfg.lan_loss,
             Scope::Wan => world.cfg.wan_loss,
         };
-        p > 0.0 && self.rng_attr.link_mut(fl).gen_bool(p)
+        p > 0.0 && self.link[fl].gen_bool(p)
     }
 
     fn sample_latency(&mut self, scope: Scope, fl: usize, world: &World<'_>) -> SimTime {
@@ -954,6 +851,6 @@ impl<P: Clone + Send + 'static> Domain<P> {
             Scope::Lan => (world.cfg.lan_latency, world.cfg.lan_jitter),
             Scope::Wan => (world.cfg.wan_latency, world.cfg.wan_jitter),
         };
-        base + if jitter > 0 { self.rng_attr.link_mut(fl).gen_range(0..=jitter) } else { 0 }
+        base + if jitter > 0 { self.link[fl].gen_range(0..=jitter) } else { 0 }
     }
 }

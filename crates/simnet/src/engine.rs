@@ -1,25 +1,25 @@
 //! The simulation coordinator.
 //!
 //! Performance model (DESIGN §11, §14): the engine is allocation-lean on its
-//! hot paths and, since the parallel-engine work, partitionable. All event
-//! dispatch lives in [`crate::domain::Domain`] — a share-nothing partition
-//! holding a calendar timing wheel, struct-of-arrays node state, and its
-//! LANs' RNG/fault/busy state. [`Sim`] owns the domains plus the shared
-//! world (config, topology, global→local maps, WAN fault profiles) and
-//! coordinates execution:
+//! hot paths and partitionable. All event dispatch lives in
+//! [`crate::domain::Domain`] — a share-nothing partition holding a calendar
+//! timing wheel, struct-of-arrays node state, and its LANs' RNG/fault/busy
+//! state. [`Sim`] owns the domains plus the shared world (config, topology,
+//! global→local maps, WAN fault profiles, scheduled controls) and runs them
+//! in windows:
 //!
-//! * **Legacy mode** (one domain — the default): bit-for-bit the historical
-//!   sequential engine, single `simnet.link`/`simnet.fault` RNG streams and
-//!   all. The chaos-soak golden digests pin this path.
-//! * **Partitioned mode** (≥2 domains, [`Sim::new_partitioned`]): domains
-//!   advance concurrently under a conservative-lookahead barrier. The
-//!   lookahead is the WAN latency floor: within a window `[T, T+L)` every
-//!   cross-domain message generated at `τ ≥ T` arrives at `τ + L ≥ T + L`,
-//!   i.e. beyond the window — so domains cannot affect each other inside a
-//!   window and each window is safe to run in parallel. Cross messages are
-//!   exchanged at barriers in fixed (source, destination, push) order, so
-//!   the result is a pure function of the seed: worker count has zero
-//!   observable effect.
+//! * Controls mutate the shared world, so they apply only at barriers, in
+//!   schedule order, before any event of the same time.
+//! * With two or more domains ([`Sim::new_partitioned`]) a window is also
+//!   bounded by the lookahead, the WAN latency floor: within `[T, T+L)`
+//!   every cross-domain message generated at `τ ≥ T` arrives at
+//!   `τ + L ≥ T + L`, i.e. beyond the window — so domains cannot affect
+//!   each other inside a window and each window is safe to run in
+//!   parallel. Cross messages are exchanged at barriers in fixed (source,
+//!   destination, push) order, so the result is a pure function of the
+//!   seed and the plan: worker count has zero observable effect.
+//! * A lone domain ([`Sim::new`], the default) has no one to look ahead
+//!   of: its window runs to the next control or the limit.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
@@ -27,7 +27,7 @@ use std::rc::Rc;
 
 use sds_rand::{Rng, Seed};
 
-use crate::domain::{CapCell, Domain, ExecMode, Queued, RunOutcome, World};
+use crate::domain::{CapCell, Domain, Queued, World};
 use crate::handler::{Ctx, NodeHandler};
 use crate::ids::{LanId, NodeId};
 use crate::par::{run_domains, PartitionPlan};
@@ -62,8 +62,8 @@ pub struct SimConfig {
     pub lan_latency: SimTime,
     /// Uniform extra LAN jitter in `[0, lan_jitter]`.
     pub lan_jitter: SimTime,
-    /// Base one-way WAN latency. Also the parallel engine's lookahead
-    /// horizon: partitioned execution requires it to be ≥ 1.
+    /// Base one-way WAN latency. Also the lookahead horizon between
+    /// domains: a sim with two or more domains requires it to be ≥ 1.
     pub wan_latency: SimTime,
     /// Uniform extra WAN jitter in `[0, wan_jitter]`.
     pub wan_jitter: SimTime,
@@ -76,10 +76,10 @@ pub struct SimConfig {
     /// serialize, so big semantic advertisements delay everything behind
     /// them — the paper's "wireless connections with low network capacity".
     pub lan_rate_kbps: u32,
-    /// Shared WAN uplink capacity in kilobits per second (0 = unlimited).
-    /// Modeled as one shared pipe (a tactical reach-back link) in legacy
-    /// mode; partitioned mode gives each LAN its own uplink of this rate
-    /// (a shared pipe would couple the domains).
+    /// WAN uplink capacity in kilobits per second (0 = unlimited). Each LAN
+    /// has its own uplink of this rate (a tactical reach-back link per
+    /// site): a LAN's WAN sends serialize behind each other, never behind
+    /// another LAN's.
     pub wan_rate_kbps: u32,
     /// Default processing budget applied to every node added after
     /// construction (`None` = unbounded, the historical model — the golden
@@ -118,8 +118,8 @@ pub struct FaultProfile {
     /// with independently sampled latency, so it may arrive first).
     pub duplicate: f64,
     /// Probability a delivery is corrupted: the payload is routed through
-    /// the corruption hook (see [`Sim::set_corruptor`]); without a hook the
-    /// frame is destroyed outright.
+    /// the corruption hook (see [`Sim::set_corruptor_factory`]); without a
+    /// hook the frame is destroyed outright.
     pub corrupt: f64,
     /// Bound on extra, uniformly sampled delivery delay. This models
     /// reordering: any two messages whose delivery windows overlap can
@@ -176,8 +176,8 @@ pub enum ControlAction {
 /// across worker threads between lookahead windows.
 pub type Corruptor<P> = Box<dyn FnMut(&mut Rng, &P) -> Option<P> + Send>;
 
-/// A scheduled control action, held coordinator-side in partitioned mode
-/// (controls mutate the shared world, so they can only apply at barriers).
+/// A scheduled control action, held coordinator-side (controls mutate the
+/// shared world, so they can only apply at barriers).
 /// Ordered by `(at, seq)` — schedule order breaks same-time ties.
 struct CtlEvent {
     at: SimTime,
@@ -232,8 +232,7 @@ pub struct Sim<P> {
     cfg: SimConfig,
     topo: Topology,
     seed: u64,
-    mode: ExecMode,
-    /// Worker-thread budget for partitioned windows (1 = run inline).
+    /// Worker-thread budget for windows (1 = run inline).
     workers: usize,
     pub(crate) domains: Vec<Domain<P>>,
     /// Global node id → owning domain / slot within it.
@@ -247,9 +246,7 @@ pub struct Sim<P> {
     /// Per-direction WAN overrides, keyed by `(from_lan, to_lan)`. A
     /// present entry replaces `wan_faults` for deliveries in that direction.
     wan_pair_faults: BTreeMap<(LanId, LanId), FaultProfile>,
-    /// Partitioned mode: scheduled controls, applied at window barriers.
-    /// (Legacy mode keeps controls in the wheel for historical dispatch
-    /// interleaving.)
+    /// Scheduled controls, applied at window barriers.
     controls: BinaryHeap<Reverse<CtlEvent>>,
     control_seq: u64,
     ctl_processed: u64,
@@ -260,18 +257,17 @@ pub struct Sim<P> {
 
 impl<P: Clone + Send + 'static> Sim<P> {
     /// Creates a simulator over `topo`. `seed` fixes every random choice in
-    /// the run (link loss, jitter, each node's private RNG). Single-domain
-    /// legacy execution: bit-for-bit the historical sequential engine.
+    /// the run (link loss, jitter, each node's private RNG). All LANs share
+    /// one domain ([`PartitionPlan::Single`]).
     pub fn new(cfg: SimConfig, topo: Topology, seed: u64) -> Self {
         Self::new_partitioned(cfg, topo, seed, PartitionPlan::Single)
     }
 
     /// Creates a simulator whose LANs are grouped into share-nothing
-    /// domains per `plan`. With one resulting domain this is exactly
-    /// [`Sim::new`]; with more, execution is partitioned (its own
-    /// deterministic semantics — per-sender-LAN RNG streams, node-scoped
-    /// timer ids, per-LAN WAN uplinks; see DESIGN §14) and
-    /// [`Sim::set_workers`] controls how many threads run the windows.
+    /// domains per `plan`. Every plan has the same semantics (per-sender-LAN
+    /// RNG streams, node-scoped timer ids, per-LAN WAN uplinks; see DESIGN
+    /// §14); with two or more domains [`Sim::set_workers`] controls how
+    /// many threads run the windows.
     pub fn new_partitioned(cfg: SimConfig, topo: Topology, seed: u64, plan: PartitionPlan) -> Self {
         let lan_count = topo.lan_count();
         // Outbox storage is D² vectors and every barrier scans them, so
@@ -282,8 +278,7 @@ impl<P: Clone + Send + 'static> Sim<P> {
             PartitionPlan::PerLan => max_domains,
             PartitionPlan::Domains(n) => n.clamp(1, max_domains),
         };
-        let mode = if n == 1 { ExecMode::Legacy } else { ExecMode::Partitioned };
-        if mode == ExecMode::Partitioned {
+        if n > 1 {
             assert!(
                 cfg.wan_latency >= 1,
                 "partitioned execution needs a nonzero WAN latency floor: it is the lookahead horizon"
@@ -301,13 +296,12 @@ impl<P: Clone + Send + 'static> Sim<P> {
         let domains = domain_lans
             .into_iter()
             .enumerate()
-            .map(|(i, lans)| Domain::new(i as u16, mode, seed, lans, n))
+            .map(|(i, lans)| Domain::new(i as u16, seed, lans, n))
             .collect();
         Self {
             cfg,
             topo,
             seed,
-            mode,
             workers: 1,
             domains,
             node_domain: Vec::new(),
@@ -323,7 +317,7 @@ impl<P: Clone + Send + 'static> Sim<P> {
         }
     }
 
-    /// Sets the worker-thread budget for partitioned windows (clamped to at
+    /// Sets the worker-thread budget for multi-domain windows (clamped to at
     /// least 1; capped at the domain count when running). No observable
     /// effect on simulation results — only on wall-clock time.
     pub fn set_workers(&mut self, workers: usize) {
@@ -446,21 +440,14 @@ impl<P: Clone + Send + 'static> Sim<P> {
         }
     }
 
-    /// Schedules a control action at an absolute simulated time. Legacy
-    /// mode queues it in the wheel (historical dispatch interleaving with
-    /// same-time traffic, pinned by the golden digests); partitioned mode
-    /// holds it coordinator-side and applies it at a window barrier,
-    /// *before* same-time events.
+    /// Schedules a control action at an absolute simulated time. It is held
+    /// coordinator-side and applied at a window barrier, *before* same-time
+    /// events; same-time controls apply in schedule order.
     pub fn schedule(&mut self, at: SimTime, action: ControlAction) {
         assert!(at >= self.now(), "cannot schedule in the past");
-        match self.mode {
-            ExecMode::Legacy => self.domains[0].core.push_event(at, Queued::Control(action)),
-            ExecMode::Partitioned => {
-                let seq = self.control_seq;
-                self.control_seq += 1;
-                self.controls.push(Reverse(CtlEvent { at, seq, action }));
-            }
-        }
+        let seq = self.control_seq;
+        self.control_seq += 1;
+        self.controls.push(Reverse(CtlEvent { at, seq, action }));
     }
 
     /// Replaces one LAN's fault profile, effective immediately.
@@ -524,26 +511,12 @@ impl<P: Clone + Send + 'static> Sim<P> {
     }
 
     /// Installs the payload corruption hook used when a
-    /// [`FaultProfile::corrupt`] roll fires. The discovery stack installs
-    /// encode → seeded byte-mutation → decode here, so corruption exercises
-    /// the real wire decoder; `None` means the frame no longer decodes and
-    /// is dropped (counted in [`NetStats::corrupt_dropped_messages`]).
-    ///
-    /// Single-domain only: a multi-domain sim needs one hook instance per
-    /// domain — use [`Sim::set_corruptor_factory`].
-    pub fn set_corruptor(&mut self, hook: impl FnMut(&mut Rng, &P) -> Option<P> + Send + 'static) {
-        assert!(
-            self.domains.len() == 1,
-            "set_corruptor on a multi-domain sim: use set_corruptor_factory \
-             (each share-nothing domain needs its own hook instance)"
-        );
-        self.domains[0].corruptor = Some(Box::new(hook));
-    }
-
-    /// Installs one corruption-hook instance *per domain*, built by
-    /// `factory`. Equivalent to [`Sim::set_corruptor`] on a single-domain
-    /// sim; required for partitioned sims (domains run concurrently, so the
-    /// hook cannot be shared).
+    /// [`FaultProfile::corrupt`] roll fires: one instance *per domain*,
+    /// built by `factory` (domains run concurrently, so a hook cannot be
+    /// shared). The discovery stack installs encode → seeded byte-mutation
+    /// → decode here, so corruption exercises the real wire decoder; `None`
+    /// means the frame no longer decodes and is dropped (counted in
+    /// [`NetStats::corrupt_dropped_messages`]).
     pub fn set_corruptor_factory(&mut self, factory: impl Fn() -> Corruptor<P>) {
         for d in &mut self.domains {
             d.corruptor = Some(factory());
@@ -592,10 +565,7 @@ impl<P: Clone + Send + 'static> Sim<P> {
     /// Processes all events up to and including `until`, then advances the
     /// clock to `until`.
     pub fn run_until(&mut self, until: SimTime) {
-        match self.mode {
-            ExecMode::Legacy => self.run_events_legacy(until),
-            ExecMode::Partitioned => self.run_partitioned(until),
-        }
+        self.run_windows(until);
         for d in &mut self.domains {
             d.core.advance_to(until);
         }
@@ -605,12 +575,9 @@ impl<P: Clone + Send + 'static> Sim<P> {
     /// Runs until the event queue drains or `max` is reached; returns the
     /// final simulated time.
     pub fn run_to_quiescence(&mut self, max: SimTime) -> SimTime {
-        match self.mode {
-            ExecMode::Legacy => self.run_events_legacy(max),
-            ExecMode::Partitioned => self.run_partitioned(max),
-        }
-        // Partitioned domains can drain at different times; uniformize so
-        // the next injection (add_node, with_node) sees one clock.
+        self.run_windows(max);
+        // Domains can drain at different times; uniformize so the next
+        // injection (add_node, with_node) sees one clock.
         let end = self.now();
         for d in &mut self.domains {
             d.core.advance_to(end);
@@ -619,24 +586,7 @@ impl<P: Clone + Send + 'static> Sim<P> {
         end
     }
 
-    /// Legacy single-domain run: the domain dispatches everything itself
-    /// and *yields* each control event (controls mutate the shared world,
-    /// which domains only read); the drain position survives the yield, so
-    /// dispatch order is exactly the historical engine's.
-    fn run_events_legacy(&mut self, limit: SimTime) {
-        loop {
-            let outcome = {
-                let world = world!(self);
-                self.domains[0].run_events(limit, &world)
-            };
-            match outcome {
-                RunOutcome::Done => return,
-                RunOutcome::Control(action) => self.apply_control(action),
-            }
-        }
-    }
-
-    /// Partitioned run: conservative-lookahead windows. Each iteration
+    /// Runs conservative-lookahead windows up to `limit`. Each iteration
     /// either applies due controls at a barrier (all domains advanced to
     /// the control time first) or runs one window `[T, end)` where
     /// `end = min(T + wan_latency, next control, limit + 1)` across all
@@ -644,8 +594,11 @@ impl<P: Clone + Send + 'static> Sim<P> {
     /// cross-domain message generated in the window arrives at
     /// `≥ T + wan_latency ≥ end`, so no domain can observe another's
     /// window-work mid-window; outboxes are exchanged at the barrier in
-    /// fixed (source, destination, push) order.
-    fn run_partitioned(&mut self, limit: SimTime) {
+    /// fixed (source, destination, push) order. A lone domain receives no
+    /// cross-domain messages, so the lookahead term drops out (and
+    /// `wan_latency = 0` stays legal): its window runs to the next control
+    /// or the limit.
+    fn run_windows(&mut self, limit: SimTime) {
         loop {
             let te = self.domains.iter().filter_map(|d| d.core.next_pending_time()).min();
             let tc = self.controls.peek().map(|Reverse(c)| c.at);
@@ -675,12 +628,14 @@ impl<P: Clone + Send + 'static> Sim<P> {
                 self.flush_outboxes();
                 continue;
             }
-            let mut end = next.saturating_add(self.cfg.wan_latency);
+            // The window's last time unit, inclusive (`end - 1`).
+            let mut window_limit = limit;
             if let Some(tc) = tc {
-                end = end.min(tc);
+                window_limit = window_limit.min(tc - 1);
             }
-            end = end.min(limit.saturating_add(1));
-            let window_limit = end - 1;
+            if self.domains.len() > 1 {
+                window_limit = window_limit.min(next.saturating_add(self.cfg.wan_latency) - 1);
+            }
             let workers = self.workers.min(self.domains.len());
             {
                 let world = world!(self);
@@ -723,9 +678,6 @@ impl<P: Clone + Send + 'static> Sim<P> {
     /// scheduling. Payload ownership converts to a fresh `Rc` here, so `Rc`
     /// clones never span domains.
     fn flush_outboxes(&mut self) {
-        if self.mode != ExecMode::Partitioned {
-            return;
-        }
         let nd = self.domains.len();
         for s in 0..nd {
             for t in 0..nd {
@@ -1047,7 +999,7 @@ mod tests {
         let (mut sim, l0, _) = two_lan_sim();
         let a = sim.add_node(l0, Box::<Recorder>::default());
         let b = sim.add_node(l0, Box::<Recorder>::default());
-        sim.set_corruptor(|_rng, p: &String| Some(format!("{p}?")));
+        sim.set_corruptor_factory(|| Box::new(|_rng, p: &String| Some(format!("{p}?"))));
         sim.set_lan_faults(l0, FaultProfile { corrupt: 1.0, ..Default::default() });
         sim.with_node::<Recorder>(a, |_, ctx| {
             ctx.send(Destination::Unicast(b), "msg".into(), 8, "test");
@@ -1071,7 +1023,7 @@ mod tests {
             let sender = sim.add_node(l0, Box::<Recorder>::default());
             let receivers: Vec<NodeId> =
                 (0..6).map(|_| sim.add_node(l0, Box::<Recorder>::default())).collect();
-            sim.set_corruptor(|_rng, p: &String| Some(format!("{p}!")));
+            sim.set_corruptor_factory(|| Box::new(|_rng, p: &String| Some(format!("{p}!"))));
             sim.set_lan_faults(l0, FaultProfile { corrupt: 0.5, ..Default::default() });
             sim.with_node::<Recorder>(sender, |_, ctx| {
                 let lan = ctx.lan();
@@ -1112,7 +1064,7 @@ mod tests {
             let mut sim: Sim<String> = Sim::new(SimConfig::default(), topo, seed);
             let a = sim.add_node(l0, Box::<Recorder>::default());
             let b = sim.add_node(l0, Box::<Recorder>::default());
-            sim.set_corruptor(|_rng, p: &String| Some(format!("{p}!")));
+            sim.set_corruptor_factory(|| Box::new(|_rng, p: &String| Some(format!("{p}!"))));
             sim.set_lan_faults(
                 l0,
                 FaultProfile { duplicate: 1.0, corrupt: 0.5, ..Default::default() },
@@ -1408,11 +1360,11 @@ mod tests {
     }
 
     // ------------------------------------------------------------------
-    // Partitioned-mode tests. The partitioned engine has its own
-    // deterministic semantics (per-sender-LAN RNG streams, per-LAN WAN
-    // uplinks, node-scoped timer ids); these tests pin behaviour and the
-    // worker-count-invariance contract at the unit level — integration
-    // digests live in tests/tests/engine_equivalence.rs.
+    // Partition plans. Every plan has the same deterministic semantics
+    // (per-sender-LAN RNG streams, per-LAN WAN uplinks, node-scoped timer
+    // ids); these tests pin behaviour and the worker-count-invariance
+    // contract at the unit level — integration digests live in
+    // tests/tests/engine_equivalence.rs.
     // ------------------------------------------------------------------
 
     fn partitioned_sim(lans: usize, plan: PartitionPlan, seed: u64) -> (Sim<String>, Vec<LanId>) {
@@ -1422,9 +1374,9 @@ mod tests {
     }
 
     #[test]
-    fn single_domain_plans_run_the_legacy_engine() {
-        // PartitionPlan::Single (and any plan collapsing to one domain) is
-        // the legacy engine — byte-identical regardless of worker count.
+    fn one_domain_plans_are_worker_count_invariant() {
+        // PartitionPlan::Single and any plan collapsing to one domain build
+        // the same sim, and a lone domain never uses a worker thread.
         let run = |plan: PartitionPlan, workers: usize| {
             let (mut sim, lans) = partitioned_sim(2, plan, 11);
             sim.set_workers(workers);
@@ -1442,6 +1394,42 @@ mod tests {
         let base = run(PartitionPlan::Single, 1);
         assert_eq!(run(PartitionPlan::Single, 8), base);
         assert_eq!(run(PartitionPlan::Domains(1), 4), base);
+    }
+
+    #[test]
+    fn zero_wan_latency_is_legal_only_for_one_domain() {
+        // The WAN latency is the lookahead between domains; a lone domain
+        // has none to keep, so a zero-latency WAN still runs to quiescence.
+        let cfg = SimConfig { wan_latency: 0, wan_jitter: 0, ..Default::default() };
+        let topo = || {
+            let mut topo = Topology::new();
+            let lans = [topo.add_lan(), topo.add_lan()];
+            (topo, lans)
+        };
+        let (t, lans) = topo();
+        let mut sim: Sim<String> = Sim::new(cfg.clone(), t, 3);
+        let a = sim.add_node(lans[0], Box::<Recorder>::default());
+        let b = sim.add_node(lans[1], Box::<Recorder>::default());
+        sim.with_node::<Recorder>(a, |_, ctx| {
+            ctx.send(Destination::Unicast(b), "instant".into(), 8, "test");
+            ctx.set_timer(5, 1);
+        });
+        assert_eq!(sim.run_to_quiescence(1_000), 5);
+        assert_eq!(sim.handler::<Recorder>(b).unwrap().messages, vec![(a, "instant".to_string())]);
+        assert_eq!(sim.handler::<Recorder>(a).unwrap().timers, vec![1]);
+        assert_eq!(sim.queued_event_count(), 0);
+
+        let (t, _) = topo();
+        let two = std::panic::catch_unwind(move || {
+            Sim::<String>::new_partitioned(cfg, t, 3, PartitionPlan::Domains(2))
+        });
+        let err = two.err().expect("two domains need a lookahead");
+        let msg = err
+            .downcast_ref::<&str>()
+            .map(|s| s.to_string())
+            .or_else(|| err.downcast_ref::<String>().cloned())
+            .unwrap_or_default();
+        assert!(msg.contains("lookahead horizon"), "{msg}");
     }
 
     #[test]

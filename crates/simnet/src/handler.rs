@@ -1,5 +1,7 @@
 //! The node-side API: the [`NodeHandler`] trait protocol roles implement and
-//! the [`Ctx`] through which they act on the network.
+//! the [`Ctx`] through which they act on the network. Everything a `Ctx`
+//! hands out is scoped to its node (RNG stream, timer ids), so the draws
+//! and ids a handler sees never depend on how LANs are grouped into domains.
 
 use std::any::Any;
 use std::rc::Rc;
@@ -49,7 +51,7 @@ pub fn take_payload<P: Clone>(msg: Rc<P>) -> P {
 /// forwards to after materializing an owned copy (free when this was the
 /// last in-flight copy).
 ///
-/// Handlers must be `Send`: the parallel engine moves whole LAN domains —
+/// Handlers must be `Send`: the engine moves whole LAN domains —
 /// handlers included — across worker threads between lookahead windows.
 /// (Within a window a handler is only ever touched by the one thread
 /// running its domain, so `Sync` is not required.)
@@ -102,16 +104,6 @@ pub(crate) enum Action<P> {
     CancelTimer(TimerId),
 }
 
-/// How [`Ctx::set_timer`] allocates timer ids. The legacy engine hands out
-/// ids from one global counter (pinned by the golden digests); the
-/// partitioned engine scopes the counter to the node — `(node << 32) | ctr`
-/// — so allocation is domain-local (no shared counter to serialize on) yet
-/// ids stay globally unique.
-pub(crate) enum TimerAlloc<'a> {
-    Global(&'a mut u64),
-    PerNode { node: u32, ctr: &'a mut u32 },
-}
-
 /// Execution context handed to a handler callback. Collects the handler's
 /// outgoing messages and timer operations and exposes the node's identity,
 /// the simulated clock, and the node's private deterministic RNG.
@@ -124,7 +116,10 @@ pub struct Ctx<'a, P> {
     /// a stream, and its slot in the struct-of-arrays node table costs one
     /// pointer instead of an inline generator state (see [`Ctx::rng`]).
     pub(crate) rng: &'a mut Option<Box<Rng>>,
-    pub(crate) timer_alloc: TimerAlloc<'a>,
+    /// This node's timer-id counter. Ids are `(node << 32) | ctr`, so
+    /// allocation is domain-local (no shared counter to serialize on) yet
+    /// ids stay globally unique.
+    pub(crate) timer_ctr: &'a mut u32,
     pub(crate) actions: Vec<Action<P>>,
 }
 
@@ -174,18 +169,8 @@ impl<P> Ctx<'_, P> {
     /// Schedules `on_timer` to fire after `delay` with the given tag and
     /// returns a handle that can cancel it.
     pub fn set_timer(&mut self, delay: SimTime, tag: u64) -> TimerId {
-        let id = match &mut self.timer_alloc {
-            TimerAlloc::Global(ctr) => {
-                let id = TimerId(**ctr);
-                **ctr += 1;
-                id
-            }
-            TimerAlloc::PerNode { node, ctr } => {
-                let id = TimerId((u64::from(*node) << 32) | u64::from(**ctr));
-                **ctr += 1;
-                id
-            }
-        };
+        let id = TimerId((u64::from(self.node.0) << 32) | u64::from(*self.timer_ctr));
+        *self.timer_ctr += 1;
         self.actions.push(Action::SetTimer { id, fire_at: self.now.saturating_add(delay), tag });
         id
     }

@@ -8,9 +8,10 @@
 //! each `&mut Domain` to exactly one worker, and the scope join is the
 //! barrier. Which thread runs which domain — and in what order — cannot
 //! affect the result, which is the worker-count-invariance guarantee the
-//! equivalence tests pin.
+//! equivalence tests pin. A one-domain sim goes through here too: its
+//! window is a plain call on the coordinator's thread.
 
-use crate::domain::{Domain, RunOutcome, World};
+use crate::domain::{Domain, World};
 use crate::pool;
 use crate::time::SimTime;
 
@@ -19,11 +20,14 @@ use crate::time::SimTime;
 /// More domains expose more parallelism but cost more barrier work (the
 /// coordinator scans domains² outbox pairs per window); for big runs a
 /// domain count near the worker-thread count is the sweet spot, which is
-/// what [`PartitionPlan::Domains`] expresses. Plans that resolve to one
-/// domain select the legacy sequential engine, bit-for-bit.
+/// what [`PartitionPlan::Domains`] expresses. Every plan runs the same
+/// engine with the same per-LAN semantics; plans differ only in how
+/// same-time events of different domains interleave (a domain dispatches
+/// its own events in push order) and in how many windows a run takes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PartitionPlan {
-    /// One domain holding every LAN: the legacy sequential engine.
+    /// One domain holding every LAN: no barrier except at controls, no
+    /// cross-domain handoff, no threads.
     Single,
     /// One domain per LAN: maximal partitioning. Right for topologies with
     /// at most a few hundred LANs; above that the per-domain fixed costs
@@ -43,10 +47,5 @@ pub(crate) fn run_domains<P: Clone + Send + 'static>(
     limit: SimTime,
     workers: usize,
 ) {
-    pool::for_each_mut(workers, domains, |_, d| match d.run_events(limit, world) {
-        RunOutcome::Done => {}
-        RunOutcome::Control(_) => {
-            unreachable!("partitioned mode never queues controls in the wheel")
-        }
-    });
+    pool::for_each_mut(workers, domains, |_, d| d.run_events(limit, world));
 }

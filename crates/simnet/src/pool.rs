@@ -1,6 +1,6 @@
 //! The workspace's one scoped worker pool for share-nothing fan-out.
 //!
-//! Three callers, one mechanism: the partitioned engine runs a lookahead
+//! Three callers, one mechanism: the simulator runs a lookahead
 //! window's domains on it ([`for_each_mut`] over `&mut [Domain]`), the
 //! registry data plane fans a broadcast query's per-shard scans and a
 //! batch's per-shard queues across it from *inside* a node handler, and

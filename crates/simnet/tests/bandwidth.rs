@@ -70,24 +70,31 @@ fn lan_transmissions_serialize_at_the_configured_rate() {
 }
 
 #[test]
-fn lans_have_independent_mediums_but_share_the_wan_pipe() {
-    let mut topo = Topology::new();
-    let lan_a = topo.add_lan();
-    let lan_b = topo.add_lan();
-    // WAN: 80 kbps shared; LAN unlimited.
-    let mut sim: Sim<u32> = Sim::new(cfg(0, 80), topo, 3);
-    let rx_a = sim.add_node(lan_a, Box::<Recorder>::default());
-    let rx_b = sim.add_node(lan_b, Box::<Recorder>::default());
-    // Two senders on different LANs each push one 1 000-byte message across
-    // the WAN; the second queues behind the first on the shared pipe.
-    let _tx_b = sim.add_node(lan_b, Box::new(Blaster { target: rx_a, count: 1, bytes: 1_000 }));
-    let _tx_a = sim.add_node(lan_a, Box::new(Blaster { target: rx_b, count: 1, bytes: 1_000 }));
-    sim.run_until(10_000);
-    let t_a = sim.handler::<Recorder>(rx_a).unwrap().arrivals[0].0;
-    let t_b = sim.handler::<Recorder>(rx_b).unwrap().arrivals[0].0;
-    let (first, second) = if t_a < t_b { (t_a, t_b) } else { (t_b, t_a) };
-    assert_eq!(first, 120, "first transfer: 100 ms serialization + 20 ms latency");
-    assert_eq!(second, 220, "second queues behind the first on the shared pipe");
+fn each_lan_has_its_own_wan_uplink() {
+    // WAN: 80 kbps per LAN uplink; LAN unlimited. A 1 000-byte message
+    // takes 100 ms to serialize, then 20 ms of latency.
+    let run = |senders_on_b: bool| {
+        let mut topo = Topology::new();
+        let lan_a = topo.add_lan();
+        let lan_b = topo.add_lan();
+        let mut sim: Sim<u32> = Sim::new(cfg(0, 80), topo, 3);
+        let rx_a = sim.add_node(lan_a, Box::<Recorder>::default());
+        let rx_b = sim.add_node(lan_b, Box::<Recorder>::default());
+        let (first_lan, first_rx) = (lan_b, rx_a);
+        let (second_lan, second_rx) = if senders_on_b { (lan_b, rx_a) } else { (lan_a, rx_b) };
+        sim.add_node(first_lan, Box::new(Blaster { target: first_rx, count: 1, bytes: 1_000 }));
+        sim.add_node(second_lan, Box::new(Blaster { target: second_rx, count: 1, bytes: 1_000 }));
+        sim.run_until(10_000);
+        let mut times: Vec<u64> = [rx_a, rx_b]
+            .iter()
+            .flat_map(|&rx| sim.handler::<Recorder>(rx).unwrap().arrivals.clone())
+            .map(|(t, _)| t)
+            .collect();
+        times.sort_unstable();
+        times
+    };
+    assert_eq!(run(true), vec![120, 220], "two senders on one LAN queue on its uplink");
+    assert_eq!(run(false), vec![120, 120], "senders on two LANs do not wait for each other");
 }
 
 #[test]

@@ -46,14 +46,13 @@ pub struct ScenarioConfig {
     pub service: ServiceConfig,
     /// Template for client nodes (bootstrap overridden per deployment).
     pub client: ClientConfig,
-    /// How LANs are grouped into share-nothing execution domains.
-    /// [`PartitionPlan::Single`] selects the legacy sequential engine;
-    /// anything resolving to more than one domain runs the partitioned
-    /// engine, whose event interleaving (and thus digests) differs from
-    /// the sequential engine but is itself deterministic and independent
-    /// of `workers`.
+    /// How LANs are grouped into share-nothing execution domains. Every
+    /// plan runs the same engine with the same per-LAN semantics; plans may
+    /// differ only in how same-time events of different domains interleave,
+    /// and a run is deterministic per plan and independent of `workers`.
     pub partition: PartitionPlan,
-    /// Worker threads for partitioned execution (ignored by `Single`).
+    /// Worker threads that run the domains' windows (a one-domain plan
+    /// never uses more than the calling thread).
     pub workers: usize,
     /// Retry-policy selection as data: `Some(policy)` applies it to every
     /// client and service role (query retries, ack retries, and attachment

@@ -7,9 +7,17 @@
 #   - worsens the median of an end-to-end metric by more than its bound
 #     (BENCHMARK.json: 25 % on all five),
 #   - has a run that is not correct, or fails a larger share of operations,
-#   - lacks a workload/trace pair the other file has.
+#   - lacks a workload/trace pair the other file has,
+#   - moves a declared metric other than as declared (see below).
 #
-#   scripts/bench_compare.sh bench-results/<parent>.results bench-results/<change>.results
+#   scripts/bench_compare.sh bench-results/<parent>.results bench-results/<change>.results [<declared>]
+#
+# A change that means to move seed-exact values (one that changes frame
+# bytes or event order) names them in the optional declared file, one
+# '<workload> <metric> up|down|moved' line each ('#' comments allowed). A
+# declared metric must still repeat exactly within each file, must differ
+# between the files in the declared direction (`moved`: either way), and
+# must occur in some run; every metric not declared still compares exactly.
 #
 # A results file holds '#' comment lines (keep the benchmark's header line
 # there: rev, seed, nproc, rustc) and one line per run:
@@ -31,16 +39,29 @@
 # POSIX sh, awk and sort only, like the rest of scripts/.
 set -eu
 
-if [ $# -ne 2 ]; then
-    echo "usage: $0 <parent.results> <change.results>" >&2
+if [ $# -ne 2 ] && [ $# -ne 3 ]; then
+    echo "usage: $0 <parent.results> <change.results> [<declared>]" >&2
     exit 2
 fi
-for f in "$1" "$2"; do
+for f in "$@"; do
     [ -s "$f" ] || { echo "bench_compare: $f is missing or empty" >&2; exit 2; }
 done
 
-awk '
+awk -v declared_file="${3:-}" '
 BEGIN {
+    # Declared movements: want[workload, metric] = up | down | moved.
+    if (declared_file != "") {
+        while ((getline line < declared_file) > 0) {
+            if (line ~ /^[ \t]*(#|$)/) continue
+            if (split(line, f, " ") != 3 || f[3] !~ /^(up|down|moved)$/) {
+                print "bench_compare: bad declared line: " line
+                bad_declared = 1
+                exit 2
+            }
+            want[f[1], f[2]] = f[3]
+        }
+        close(declared_file)
+    }
     # End-to-end metrics: 1 = lower is better, -1 = higher is better.
     dir["setup_s"] = 1; dir["wall_s"] = 1; dir["work_per_s"] = -1
     dir["step_p50_us"] = 1; dir["peak_rss_mib"] = 1
@@ -109,6 +130,14 @@ FNR == 1 { side++; file[side] = FILENAME }
         if (name in dir) {
             k = side SUBSEP run SUBSEP name
             e2e[k, ++e2e_n[k]] = value + 0
+        } else if (($1, name) in want) {
+            # Declared: exact within each file, compared across them in END.
+            k = side SUBSEP run SUBSEP name
+            found[$1, name] = 1
+            moved_run[run SUBSEP name] = $1
+            if (!(k in moved)) moved[k] = value
+            else if (moved[k] != value)
+                fail(run " " name ": " moved[k] " != " value " within " file[side])
         } else if (!(name in HOST_TIME)) {
             k = run SUBSEP name
             if (!(k in exact)) {
@@ -123,6 +152,7 @@ FNR == 1 { side++; file[side] = FILENAME }
 }
 
 END {
+    if (bad_declared) exit 2
     if (side != 2) { print "FAIL: need two result files"; exit 2 }
     for (run in runs) {
         if (!((1, run) in seen) || !((2, run) in seen)) {
@@ -146,6 +176,22 @@ END {
             if (worse > BOUND) fail(line " worse than the " BOUND * 100 " % bound")
             else print "ok   " line | "sort"
         }
+    }
+    for (k in moved_run) {
+        split(k, rk, SUBSEP)
+        ka = 1 SUBSEP k
+        kb = 2 SUBSEP k
+        if (!(ka in moved) || !(kb in moved)) { fail(rk[1] " " rk[2] ": declared, in one file only"); continue }
+        a = moved[ka]; b = moved[kb]
+        how = want[moved_run[k], rk[2]]
+        ok = how == "up" ? b + 0 > a + 0 : how == "down" ? b + 0 < a + 0 : a != b
+        line = sprintf("%-26s %s: %s -> %s (declared %s)", rk[1], rk[2], a, b, how)
+        if (!ok) fail(line)
+        else print "moved " line | "sort"
+    }
+    for (k in want) {
+        split(k, wk, SUBSEP)
+        if (!(k in found)) fail(wk[1] " " wk[2] ": declared but in no run")
     }
     # Sorted, because awk iterates arrays in no particular order.
     close("sort")

@@ -16,11 +16,21 @@ cargo test -q --offline
 # benchmark run.
 cargo test --release --offline --manifest-path benchmark/Cargo.toml
 
-# Comparator smoke test: a committed results file compared with itself must
-# parse, find every seed-exact metric equal and every end-to-end metric
-# inside its bound. Comparing two revisions is a manual step (see the
-# script's header); the files under bench-results/ are what each PR ran it on.
-scripts/bench_compare.sh bench-results/pr24.results bench-results/pr24.results > /dev/null
+# Comparator smoke test on the newest committed pair: with its declared
+# movements it must pass (every undeclared seed-exact metric equal, every
+# declared one moved as declared, every end-to-end metric inside its bound);
+# without them it must fail, which proves the declared list is load-bearing.
+# Comparing two revisions is a manual step (see the script's header); the
+# files under bench-results/ are what each PR ran it on.
+scripts/bench_compare.sh bench-results/854f87d.results bench-results/pr27.results \
+  bench-results/pr27.declared > /dev/null
+undeclared=0
+scripts/bench_compare.sh bench-results/854f87d.results bench-results/pr27.results \
+  > /dev/null || undeclared=$?
+if [ "$undeclared" -ne 1 ]; then
+  echo "bench_compare: the pr27 pair without its declared list exited $undeclared, not 1" >&2
+  exit 1
+fi
 
 # Bounded chaos soak (quick mode): fixed 8-seed sweep of combined churn +
 # fault injection with post-heal convergence invariants. Deterministic, so
@@ -36,10 +46,10 @@ SDS_CHAOS_SEEDS=2 SDS_RECOVERY_BOUND=30000 \
   cargo test -q --offline -p sds-integration --test rolling_chaos
 
 # Engine equivalence: the default configuration must reproduce the pinned
-# chaos-soak golden digests bit-for-bit on the sequential engine, and the
-# partitioned engine must reproduce its own pinned family at 1, 2 and 4
-# workers (a failure names the seed and worker count). --include-ignored
-# adds the full 8-seed sweeps (release profile) to the quick 2-seed tests.
+# chaos-soak golden digests bit-for-bit in one domain, and one domain per
+# LAN must reproduce its pinned digests at 1, 2 and 4 workers (a failure
+# names the seed and worker count). --include-ignored adds the full 8-seed
+# sweeps (release profile) to the quick 2-seed tests.
 cargo test -q --offline --release -p sds-integration --test engine_equivalence \
   -- --include-ignored
 
@@ -49,7 +59,7 @@ cargo test -q --offline --release -p sds-integration --test engine_equivalence \
 SDS_BENCH_QUICK=1 cargo bench -q --offline -p sds-bench --bench microbench
 
 # Engine-scaling smoke (quick mode: 10^2 and 10^3 nodes in both delivery
-# modes, the sequential-vs-partitioned engine sweep, and a shortened-horizon
+# modes, the one-domain vs 2/4-domain engine sweep, and a shortened-horizon
 # million-node run): proves the S1 bin runs — including that 10^6 nodes
 # build, run, and fit in memory.
 SDS_BENCH_QUICK=1 cargo run -q --release --offline -p sds-bench --bin s1_engine_scaling

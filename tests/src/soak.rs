@@ -35,18 +35,17 @@ pub struct SoakOutcome {
     pub digest: u64,
 }
 
-/// Runs the soak with the default registry configuration on the sequential
-/// engine, like every production-shaped scenario.
+/// Runs the soak with the default registry configuration in one domain
+/// (`PartitionPlan::Single`), like every production-shaped scenario.
 pub fn run_soak(seed: u64) -> SoakOutcome {
     run_soak_configured(seed, PartitionPlan::Single, 1, DataPlane::default())
 }
 
-/// Runs the soak on the partitioned engine (one domain per LAN) with the
-/// given worker-thread count. The partitioned engine's event interleaving
-/// differs from the sequential engine's, so its digests form their *own*
-/// golden family — but within that family the digest must be identical for
-/// every `workers` value, which is the worker-count-invariance guarantee
-/// `engine_equivalence.rs` pins.
+/// Runs the soak with one domain per LAN and the given worker-thread count.
+/// Every plan has the same per-LAN semantics; only the interleaving of
+/// same-time events in different domains may differ from [`run_soak`]. The
+/// digest must be identical for every `workers` value, which is the
+/// worker-count-invariance guarantee `engine_equivalence.rs` pins.
 pub fn run_soak_partitioned(seed: u64, workers: usize) -> SoakOutcome {
     run_soak_configured(seed, PartitionPlan::PerLan, workers, DataPlane::default())
 }
