@@ -15,14 +15,13 @@
 //! deployments where the registry set is small and known.
 
 use sds_protocol::{
-    Advertisement, Codec, Description, DiscoveryMessage, MaintenanceOp, Operation, PublishOp,
-    QueryOp, QueryPayload, ResponseHit,
+    Codec, Description, DiscoveryMessage, MaintenanceOp, Operation, PublishOp, QueryOp,
+    QueryPayload, ResponseHit, SharedAdvert,
 };
 use sds_semantic::Degree;
 use sds_simnet::{Ctx, Destination, NodeHandler, NodeId, SimTime, TimerId};
 
 use std::collections::HashMap;
-use std::sync::Arc;
 
 const TAG_BEACON: u64 = 1;
 
@@ -79,7 +78,7 @@ pub struct DhtStats {
 pub struct DhtNode {
     cfg: DhtConfig,
     /// Key → adverts stored under that key (this node owns these keys).
-    index: HashMap<String, Vec<Arc<Advertisement>>>,
+    index: HashMap<String, Vec<SharedAdvert>>,
     pub stats: DhtStats,
 }
 

@@ -20,7 +20,7 @@ use std::sync::Arc;
 
 use sds_protocol::{
     Advertisement, Codec, Description, DiscoveryMessage, MaintenanceOp, Operation, PublishOp,
-    QueryOp, ResponseHit, Uuid,
+    QueryOp, ResponseHit, SharedAdvert, Uuid,
 };
 use sds_registry::{ModelEvaluator, SemanticEvaluator, TemplateEvaluator, UriEvaluator};
 use sds_semantic::SubsumptionIndex;
@@ -40,7 +40,7 @@ fn evaluators(idx: Option<Arc<SubsumptionIndex>>) -> Vec<Box<dyn ModelEvaluator>
 fn evaluate_all(
     evaluators: &[Box<dyn ModelEvaluator>],
     payload: &sds_protocol::QueryPayload,
-    adverts: impl Iterator<Item = Arc<Advertisement>>,
+    adverts: impl Iterator<Item = SharedAdvert>,
 ) -> Vec<ResponseHit> {
     let mut hits = Vec::new();
     for advert in adverts {
@@ -60,7 +60,7 @@ pub struct WsServiceNode {
     descriptions: Vec<Description>,
     evaluators: Vec<Box<dyn ModelEvaluator>>,
     codec: Codec,
-    adverts: Vec<Arc<Advertisement>>,
+    adverts: Vec<SharedAdvert>,
     /// When a proxy has been heard, providers stay silent on probes.
     proxy_seen: Option<SimTime>,
     /// How long a proxy beacon suppresses direct answers.
@@ -108,7 +108,7 @@ impl NodeHandler<DiscoveryMessage> for WsServiceNode {
             .descriptions
             .iter()
             .map(|d| {
-                Arc::new(Advertisement {
+                SharedAdvert::from(Advertisement {
                     id: Uuid::generate(ctx.rng()),
                     provider: ctx.node(),
                     description: d.clone(),
@@ -161,7 +161,7 @@ pub struct WsProxyNode {
     evaluators: Vec<Box<dyn ModelEvaluator>>,
     codec: Codec,
     beacon_interval: SimTime,
-    cache: Vec<Arc<Advertisement>>,
+    cache: Vec<SharedAdvert>,
     pub answers_sent: u64,
 }
 

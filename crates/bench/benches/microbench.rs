@@ -11,7 +11,7 @@ use sds_bench::harness::{black_box, Harness};
 
 use sds_protocol::{
     codec, Advertisement, Description, DescriptionTemplate, DiscoveryMessage, ModelId, PublishOp,
-    QueryId, QueryMessage, QueryPayload, Uuid,
+    QueryId, QueryMessage, QueryPayload, SharedAdvert, Uuid,
 };
 use sds_rand::Rng;
 use sds_registry::{
@@ -294,7 +294,7 @@ fn bench_codec(h: &mut Harness) {
         },
     );
     let msg = DiscoveryMessage::publishing(PublishOp::Publish {
-        advert: Arc::new(Advertisement {
+        advert: SharedAdvert::from(Advertisement {
             id: Uuid(7),
             provider: NodeId(3),
             description: w.descriptions[0].clone(),

@@ -77,7 +77,7 @@ pub struct CompositionResult {
     pub id: QueryId,
     pub found: bool,
     /// The planned chain in execution order.
-    pub chain: Vec<std::sync::Arc<sds_protocol::Advertisement>>,
+    pub chain: Vec<sds_protocol::SharedAdvert>,
     pub at: SimTime,
 }
 

@@ -26,7 +26,7 @@ use std::sync::Arc;
 
 use sds_protocol::{
     Advertisement, Description, DiscoveryMessage, MaintenanceOp, ModelId, PublishOp, QueryId,
-    QueryMessage, QueryOp, QueryPayload, ResponseHit, SyncEntry, Uuid, WireSize,
+    QueryMessage, QueryOp, QueryPayload, ResponseHit, SharedAdvert, SyncEntry, Uuid, WireSize,
 };
 use sds_registry::{
     cache_key, rank_hits, CacheStats, PublishOutcome, QueryCache, SeenQueries, SemanticEvaluator,
@@ -599,7 +599,7 @@ impl RegistryNode {
     /// cache entry's validity already ends at its earliest returned lease.
     fn publish_cached(
         &mut self,
-        advert: Arc<Advertisement>,
+        advert: SharedAdvert,
         from: NodeId,
         now: SimTime,
         lease_ms: u64,
@@ -827,7 +827,7 @@ impl RegistryNode {
     fn notify_subscribers(
         &mut self,
         ctx: &mut Ctx<'_, DiscoveryMessage>,
-        advert: &Arc<Advertisement>,
+        advert: &SharedAdvert,
     ) {
         let now = ctx.now();
         // Candidate generation over the subscription index: only standing
@@ -905,7 +905,7 @@ impl RegistryNode {
         resend: Option<&[Uuid]>,
     ) {
         let now = ctx.now();
-        let mut owned: Vec<(Arc<Advertisement>, SimTime)> = self
+        let mut owned: Vec<(SharedAdvert, SimTime)> = self
             .engine
             .store()
             .first_hand(now)

@@ -13,7 +13,7 @@ use std::sync::Arc;
 
 use sds_protocol::{
     Advertisement, AdvertId, Description, DiscoveryMessage, MaintenanceOp, Operation, PublishOp,
-    QueryOp, ResponseHit, Uuid,
+    QueryOp, ResponseHit, SharedAdvert, Uuid,
 };
 use sds_registry::{ModelEvaluator, SemanticEvaluator, TemplateEvaluator, UriEvaluator};
 use sds_semantic::SubsumptionIndex;
@@ -44,7 +44,7 @@ struct HostedService {
     /// The advert as last sent. Reused while `id` and `version` still match,
     /// so renew-unknown republishes, retries and fallback answers re-send
     /// one allocation instead of cloning the description each time.
-    advert: Option<Arc<Advertisement>>,
+    advert: Option<SharedAdvert>,
 }
 
 /// Counters exposed for experiments.
@@ -198,11 +198,11 @@ impl ServiceNode {
     fn advert_of(
         svc: &mut HostedService,
         ctx: &mut Ctx<'_, DiscoveryMessage>,
-    ) -> Arc<Advertisement> {
+    ) -> SharedAdvert {
         let id = *svc.id.get_or_insert_with(|| Uuid::generate(ctx.rng()));
         let cached = svc.advert.take().filter(|a| a.id == id && a.version == svc.version);
         let advert = cached.unwrap_or_else(|| {
-            Arc::new(Advertisement {
+            SharedAdvert::from(Advertisement {
                 id,
                 provider: ctx.node(),
                 description: svc.description.clone(),

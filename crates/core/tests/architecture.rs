@@ -6,7 +6,7 @@ use sds_core::{
     AttachConfig, Bootstrap, ClientConfig, ClientNode, ForwardStrategy, QueryMode, QueryOptions,
     RegistryConfig, RegistryNode, ServiceConfig, ServiceNode,
 };
-use sds_protocol::{Description, DiscoveryMessage, QueryPayload};
+use sds_protocol::{Description, DiscoveryMessage, QueryPayload, SharedAdvert};
 use sds_semantic::{
     Artifact, ArtifactId, ArtifactKind, ClassId, Degree, Ontology, ServiceProfile, ServiceRequest,
     SubsumptionIndex,
@@ -178,7 +178,7 @@ fn registry_restart_triggers_republish() {
     w.sim.run_until(secs(30));
     let again = stored(&w);
     assert_eq!(again.len(), 1);
-    assert!(Arc::ptr_eq(&first[0], &again[0]), "a republish rebuilds nothing");
+    assert!(SharedAdvert::ptr_eq(&first[0], &again[0]), "a republish rebuilds nothing");
     assert!(w.sim.handler::<ServiceNode>(s).unwrap().stats.republishes_after_unknown >= 1);
 }
 
@@ -505,6 +505,6 @@ fn cached_response_hits_share_the_stores_adverts() {
     // One allocation from the provider's publish to both responses: the
     // evaluated one and the cached one hand out the store's advert.
     let stored = &registry.engine().store().get(&results[0].hits[0].advert.id).unwrap().advert;
-    assert!(Arc::ptr_eq(&results[0].hits[0].advert, stored));
-    assert!(Arc::ptr_eq(&results[1].hits[0].advert, stored));
+    assert!(SharedAdvert::ptr_eq(&results[0].hits[0].advert, stored));
+    assert!(SharedAdvert::ptr_eq(&results[1].hits[0].advert, stored));
 }

@@ -5,17 +5,26 @@
 //! fully serializable (every field reachable, every enum tagged). Encoding is
 //! a simple tagged little-endian format; [`decode`] validates tags, UTF-8,
 //! version, and trailing bytes.
+//!
+//! An advert is encoded once per process, not once per frame: its fields go
+//! through the field writer the first time a frame carries it, into the wire
+//! segment its [`SharedAdvert`] keeps, and every frame copies that segment
+//! with one `extend_from_slice`. A frame that carries adverts is sized from
+//! their segments before anything is written, so a response of any number
+//! of hits is one allocation: its header plus one copy per hit. [`decode`]
+//! leaves the segment empty; a received advert is written the first time it
+//! is re-sent, by the same writer, so a memoized frame cannot differ from a
+//! fresh one.
 
 use std::fmt;
-use std::sync::Arc;
 
 use sds_semantic::{ClassId, Degree, QosConstraint, QosValue, ServiceProfile, ServiceRequest};
 use sds_simnet::NodeId;
 
 use crate::message::{
     Advertisement, Description, DescriptionTemplate, DiscoveryMessage, MaintenanceOp, ModelId,
-    Operation, PublishOp, QueryId, QueryMessage, QueryOp, QueryPayload, ResponseHit, SyncEntry,
-    PROTOCOL_VERSION,
+    Operation, PublishOp, QueryId, QueryMessage, QueryOp, QueryPayload, ResponseHit, SharedAdvert,
+    SyncEntry, PROTOCOL_VERSION,
 };
 use crate::uuid::Uuid;
 
@@ -49,7 +58,10 @@ struct Writer {
 
 impl Writer {
     fn new() -> Self {
-        Self { buf: Vec::with_capacity(128) }
+        Self::with_capacity(128)
+    }
+    fn with_capacity(n: usize) -> Self {
+        Self { buf: Vec::with_capacity(n) }
     }
     fn u8(&mut self, v: u8) {
         self.buf.push(v);
@@ -331,21 +343,34 @@ fn read_payload(r: &mut Reader<'_>) -> R<QueryPayload> {
     }
 }
 
-fn write_advert(w: &mut Writer, a: &Advertisement) {
+/// The field writer of an advert: the one place its encoding is decided.
+fn advert_segment(a: &Advertisement) -> Box<[u8]> {
+    let mut w = Writer::new();
     w.u128(a.id.0);
     w.node(a.provider);
     w.u32(a.version);
-    write_description(w, &a.description);
+    write_description(&mut w, &a.description);
+    w.buf.into_boxed_slice()
+}
+
+/// The advert's encoding, written on first use and kept beside it.
+fn segment(a: &SharedAdvert) -> &[u8] {
+    a.wire_or_init(advert_segment)
+}
+
+fn write_advert(w: &mut Writer, a: &SharedAdvert) {
+    w.buf.extend_from_slice(segment(a));
 }
 
 /// The one allocation of a received advert: everything downstream of
-/// `decode` shares this `Arc`.
-fn read_advert(r: &mut Reader<'_>) -> R<Arc<Advertisement>> {
+/// `decode` shares this `SharedAdvert`. Its segment stays empty until the
+/// advert is encoded again.
+fn read_advert(r: &mut Reader<'_>) -> R<SharedAdvert> {
     let id = Uuid(r.u128()?);
     let provider = r.node()?;
     let version = r.u32()?;
     let description = read_description(r)?;
-    Ok(Arc::new(Advertisement { id, provider, description, version }))
+    Ok(SharedAdvert::from(Advertisement { id, provider, description, version }))
 }
 
 fn write_query(w: &mut Writer, q: &QueryMessage) {
@@ -774,9 +799,47 @@ pub fn encode_payload(p: &QueryPayload) -> Vec<u8> {
     w.buf
 }
 
-/// Serializes a message.
+/// The exact length of a frame that carries adverts, from their segments
+/// (filling any not yet written); `None` for every other frame. Each term
+/// is the width of the field its writer emits, in writing order.
+fn advert_frame_len(op: &Operation) -> Option<usize> {
+    let segments = |list: &[SharedAdvert]| -> usize { list.iter().map(|a| segment(a).len()).sum() };
+    const QUERY_ID: usize = 4 + 8;
+    let body = match op {
+        Operation::Publishing(
+            PublishOp::Publish { advert, .. } | PublishOp::Update { advert, .. },
+        ) => 8 + segment(advert).len(),
+        Operation::Publishing(PublishOp::ForwardAdverts { adverts }) => 4 + segments(adverts),
+        Operation::Maintenance(MaintenanceOp::SyncDelta { buckets, entries }) => {
+            let entries: usize = entries
+                .iter()
+                .map(|e| match e {
+                    SyncEntry::Full { advert, .. } => 1 + 8 + segment(advert).len(),
+                    SyncEntry::Delta { .. } => 1 + 16 + 4 + 8,
+                })
+                .sum();
+            4 + 2 * buckets.len() + 4 + entries
+        }
+        Operation::Querying(QueryOp::QueryResponse { hits, .. }) => {
+            let hits: usize = hits.iter().map(|h| 1 + 4 + segment(&h.advert).len()).sum();
+            QUERY_ID + 4 + 4 + hits
+        }
+        Operation::Querying(QueryOp::Notify { hit, .. }) => {
+            QUERY_ID + 1 + 4 + segment(&hit.advert).len()
+        }
+        Operation::Querying(QueryOp::ComposeResponse { chain, .. }) => {
+            QUERY_ID + 1 + 4 + segments(chain)
+        }
+        _ => return None,
+    };
+    Some(ENVELOPE_LEN + body)
+}
+
+/// Serializes a message. A frame that carries adverts is allocated once, at
+/// its exact length.
 pub fn encode(msg: &DiscoveryMessage) -> Vec<u8> {
-    let mut w = Writer::new();
+    let exact = advert_frame_len(&msg.op);
+    let mut w = exact.map_or_else(Writer::new, Writer::with_capacity);
     w.u8(msg.version);
     match &msg.op {
         Operation::Maintenance(m) => {
@@ -792,6 +855,7 @@ pub fn encode(msg: &DiscoveryMessage) -> Vec<u8> {
             write_queryop(&mut w, q);
         }
     }
+    debug_assert!(exact.is_none() || exact == Some(w.buf.len()), "advert_frame_len drifted");
     w.buf
 }
 
@@ -925,7 +989,7 @@ mod tests {
             entries: vec![
                 SyncEntry::Delta { id: Uuid(7), version: 2, lease_until: 30_000 },
                 SyncEntry::Full {
-                    advert: Arc::new(Advertisement {
+                    advert: SharedAdvert::from(Advertisement {
                         id: Uuid(8),
                         provider: NodeId(3),
                         description: Description::Uri("urn:svc:chat".into()),
@@ -974,7 +1038,7 @@ mod tests {
 
     #[test]
     fn round_trip_publish_ops() {
-        let advert = Arc::new(Advertisement {
+        let advert = SharedAdvert::from(Advertisement {
             id: Uuid(42),
             provider: NodeId(3),
             description: Description::Semantic(
@@ -1037,7 +1101,7 @@ mod tests {
         rt(DiscoveryMessage::querying(QueryOp::QueryResponse {
             query_id: QueryId { origin: NodeId(5), seq: 77 },
             hits: vec![ResponseHit {
-                advert: Arc::new(Advertisement {
+                advert: SharedAdvert::from(Advertisement {
                     id: Uuid(1),
                     provider: NodeId(2),
                     description: Description::Template(DescriptionTemplate {

@@ -14,6 +14,8 @@
 //!   **querying**;
 //! * [`ModelId`] + [`Description`]/[`QueryPayload`]: the next-header field
 //!   and the three description models shipped (URI, template, semantic);
+//! * [`SharedAdvert`]: the one immutable allocation of an advert that stores
+//!   and messages share, with its wire encoding memoized beside it;
 //! * [`Uuid`]-based [`AdvertId`]s ("a unique identification convention, e.g.
 //!   based on UUIDs like in UDDI 3.0") and per-origin [`QueryId`]s ("giving
 //!   queries their unique query ID … to avoid query looping");
@@ -33,7 +35,7 @@ mod wire;
 pub use message::{
     AdvertId, Advertisement, Description, DescriptionTemplate, DiscoveryMessage, MaintenanceOp,
     ModelId, Operation, PublishOp, QueryId, QueryMessage, QueryOp, QueryPayload, ResponseHit,
-    SyncEntry,
+    SharedAdvert, SyncEntry,
 };
 pub use profile::{minimum_profile, ProtocolProfile};
 pub use uuid::Uuid;

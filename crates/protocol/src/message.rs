@@ -5,7 +5,9 @@
 //! description payload sits behind a [`ModelId`] next-header so the same
 //! distribution protocol carries every description model.
 
-use std::sync::Arc;
+use std::fmt;
+use std::ops::Deref;
+use std::sync::{Arc, OnceLock};
 
 use sds_semantic::{ClassId, Degree, ServiceProfile, ServiceRequest};
 use sds_simnet::{NodeId, SimTime};
@@ -118,9 +120,9 @@ impl QueryPayload {
     }
 }
 
-/// A published service advertisement. Immutable once built: messages and
-/// stores share one `Arc<Advertisement>` per advert, and an update replaces
-/// the `Arc` instead of mutating through it.
+/// A published service advertisement, as a plain value. Messages and stores
+/// carry it as a [`SharedAdvert`]; a clone of the value is a new advert that
+/// shares nothing with the original.
 #[derive(Clone, PartialEq, Debug)]
 pub struct Advertisement {
     pub id: AdvertId,
@@ -129,6 +131,69 @@ pub struct Advertisement {
     pub description: Description,
     /// Bumped on each republish/update so newer content wins.
     pub version: u32,
+}
+
+/// An advertisement as the process shares it: one immutable allocation per
+/// advert, referenced from the store, every home shard, cached results and
+/// every message that carries it. Cloning bumps a reference count; an update
+/// builds a new `SharedAdvert` instead of mutating through this one.
+///
+/// Beside the advert sits its wire segment, the codec's encoding of its
+/// fields, filled by the first [`crate::codec::encode`] that writes it and
+/// copied by every later one. Immutability is what makes the memo sound: the
+/// bytes can never describe anything but the advert next to them. The memo
+/// is invisible otherwise: equality and `Debug` see the advert alone.
+#[derive(Clone)]
+pub struct SharedAdvert(Arc<AdvertCell>);
+
+struct AdvertCell {
+    advert: Advertisement,
+    wire: OnceLock<Box<[u8]>>,
+}
+
+impl SharedAdvert {
+    /// Whether both handles share one allocation (like [`Arc::ptr_eq`]).
+    pub fn ptr_eq(this: &Self, other: &Self) -> bool {
+        Arc::ptr_eq(&this.0, &other.0)
+    }
+
+    /// How many handles share this allocation (like [`Arc::strong_count`]).
+    pub fn strong_count(this: &Self) -> usize {
+        Arc::strong_count(&this.0)
+    }
+
+    /// The advert's wire segment, written by `fill` on first use.
+    pub(crate) fn wire_or_init(&self, fill: impl FnOnce(&Advertisement) -> Box<[u8]>) -> &[u8] {
+        self.0.wire.get_or_init(|| fill(&self.0.advert))
+    }
+}
+
+impl From<Advertisement> for SharedAdvert {
+    fn from(advert: Advertisement) -> Self {
+        Self(Arc::new(AdvertCell { advert, wire: OnceLock::new() }))
+    }
+}
+
+impl Deref for SharedAdvert {
+    type Target = Advertisement;
+
+    fn deref(&self) -> &Advertisement {
+        &self.0.advert
+    }
+}
+
+/// Structural, like the advert's own: a retransmitted publish decodes into
+/// an equal advert in a fresh allocation.
+impl PartialEq for SharedAdvert {
+    fn eq(&self, other: &Self) -> bool {
+        self.0.advert == other.0.advert
+    }
+}
+
+impl fmt::Debug for SharedAdvert {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.0.advert.fmt(f)
+    }
 }
 
 /// Per-origin unique query identifier; "giving queries their unique query ID
@@ -162,7 +227,7 @@ pub struct QueryMessage {
 /// federation without re-evaluating.
 #[derive(Clone, PartialEq, Debug)]
 pub struct ResponseHit {
-    pub advert: Arc<Advertisement>,
+    pub advert: SharedAdvert,
     pub degree: Degree,
     pub distance: u32,
 }
@@ -229,7 +294,7 @@ pub enum MaintenanceOp {
 pub enum SyncEntry {
     /// First sight (or desync): the whole advertisement plus the origin's
     /// current lease deadline.
-    Full { advert: Arc<Advertisement>, lease_until: SimTime },
+    Full { advert: SharedAdvert, lease_until: SimTime },
     /// The receiver already holds this advert at `version`: only the lease
     /// heartbeat (and the version echo that proves it still applies) travel.
     Delta { id: AdvertId, version: u32, lease_until: SimTime },
@@ -239,7 +304,7 @@ pub enum SyncEntry {
 #[derive(Clone, PartialEq, Debug)]
 pub enum PublishOp {
     /// Publish an advertisement, requesting a lease of `lease_ms`.
-    Publish { advert: Arc<Advertisement>, lease_ms: u64 },
+    Publish { advert: SharedAdvert, lease_ms: u64 },
     /// Lease grant.
     PublishAck { id: AdvertId, lease_until: SimTime },
     /// Periodic lease renewal from the service node.
@@ -256,11 +321,11 @@ pub enum PublishOp {
     /// Explicit deregistration.
     Remove { id: AdvertId },
     /// Republish with updated content (e.g. changed coverage area).
-    Update { advert: Arc<Advertisement>, lease_ms: u64 },
+    Update { advert: SharedAdvert, lease_ms: u64 },
     /// Push advertisements to a replica: the full-copy replication of the
     /// clustered-registry baseline. Federated registries replicate by
     /// `SyncDigest`/`SyncDelta` instead and ignore this op.
-    ForwardAdverts { adverts: Vec<Arc<Advertisement>> },
+    ForwardAdverts { adverts: Vec<SharedAdvert> },
 }
 
 /// Querying operations.
@@ -293,7 +358,7 @@ pub enum QueryOp {
     /// will need protocol support from the service discovery architecture").
     ComposeRequest { id: QueryId, request: sds_semantic::ServiceRequest, max_depth: u8 },
     /// The planned chain, in execution order (empty + found=false: no plan).
-    ComposeResponse { id: QueryId, found: bool, chain: Vec<Arc<Advertisement>> },
+    ComposeResponse { id: QueryId, found: bool, chain: Vec<SharedAdvert> },
 }
 
 /// The three operation categories.

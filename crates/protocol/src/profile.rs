@@ -84,13 +84,14 @@ impl ProtocolProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::message::{Advertisement, Description, QueryId, QueryMessage, QueryPayload};
+    use crate::message::{
+        Advertisement, Description, QueryId, QueryMessage, QueryPayload, SharedAdvert,
+    };
     use crate::uuid::Uuid;
     use sds_simnet::NodeId;
-    use std::sync::Arc;
 
-    fn advert() -> Arc<Advertisement> {
-        Arc::new(Advertisement {
+    fn advert() -> SharedAdvert {
+        SharedAdvert::from(Advertisement {
             id: Uuid(1),
             provider: NodeId(0),
             description: Description::Uri("urn:x".into()),

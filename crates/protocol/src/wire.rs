@@ -261,16 +261,15 @@ impl Codec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::message::QueryId;
+    use crate::message::{QueryId, SharedAdvert};
     use crate::uuid::Uuid;
     use sds_semantic::{ClassId, QosKey, ServiceProfile};
     use sds_simnet::NodeId;
-    use std::sync::Arc;
 
-    fn semantic_advert(n_outputs: usize) -> Arc<Advertisement> {
+    fn semantic_advert(n_outputs: usize) -> SharedAdvert {
         let mut p = ServiceProfile::new("svc", ClassId(0));
         p.outputs = (0..n_outputs as u32).map(ClassId).collect();
-        Arc::new(Advertisement {
+        SharedAdvert::from(Advertisement {
             id: Uuid(1),
             provider: NodeId(0),
             description: Description::Semantic(p),

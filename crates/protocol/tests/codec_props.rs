@@ -1,16 +1,15 @@
 //! Property-based tests: every representable message round-trips through
-//! the codec, and decoding never panics on arbitrary bytes. Run under the
+//! the codec, an advert's memoized wire segment encodes exactly like a fresh
+//! one, and decoding never panics on arbitrary bytes. Run under the
 //! in-workspace seeded harness (`sds_rand::check`).
-
-use std::sync::Arc;
 
 use sds_rand::check::{gen, Checker};
 use sds_rand::Rng;
 
 use sds_protocol::{
     codec, Advertisement, Description, DescriptionTemplate, DiscoveryMessage, MaintenanceOp,
-    ModelId, PublishOp, QueryId, QueryMessage, QueryOp, QueryPayload, ResponseHit,
-    SyncEntry, Uuid, WireSize,
+    ModelId, Operation, PublishOp, QueryId, QueryMessage, QueryOp, QueryPayload, ResponseHit,
+    SharedAdvert, SyncEntry, Uuid, WireSize,
 };
 use sds_semantic::{
     ClassId, Degree, QosConstraint, QosKey, QosValue, ServiceProfile, ServiceRequest,
@@ -78,8 +77,8 @@ fn arb_payload(rng: &mut Rng) -> QueryPayload {
     }
 }
 
-fn arb_advert(rng: &mut Rng) -> Arc<Advertisement> {
-    Arc::new(Advertisement {
+fn arb_advert(rng: &mut Rng) -> SharedAdvert {
+    SharedAdvert::from(Advertisement {
         id: Uuid(rng.gen_u128()),
         provider: NodeId(rng.gen_range(0..10_000u32)),
         description: arb_description(rng),
@@ -249,6 +248,119 @@ fn every_message_round_trips() {
         let bytes = codec::encode(&msg);
         let back = codec::decode(&bytes).expect("decode what we encoded");
         assert_eq!(back, msg);
+    });
+}
+
+/// A message of every op that carries adverts, each with at least one.
+fn arb_advert_message(rng: &mut Rng) -> DiscoveryMessage {
+    let hit = |r: &mut Rng| ResponseHit {
+        advert: arb_advert(r),
+        degree: arb_degree(r),
+        distance: r.next_u32(),
+    };
+    match rng.gen_range(0..7u32) {
+        0 => DiscoveryMessage::publishing(PublishOp::Publish {
+            advert: arb_advert(rng),
+            lease_ms: rng.next_u64(),
+        }),
+        1 => DiscoveryMessage::publishing(PublishOp::Update {
+            advert: arb_advert(rng),
+            lease_ms: rng.next_u64(),
+        }),
+        2 => DiscoveryMessage::publishing(PublishOp::ForwardAdverts {
+            adverts: gen::vec_of(rng, 1, 4, arb_advert),
+        }),
+        3 => {
+            let mut entries = gen::vec_of(rng, 0, 3, arb_sync_entry);
+            let at = rng.gen_range(0..=entries.len());
+            let full = SyncEntry::Full { advert: arb_advert(rng), lease_until: rng.next_u64() };
+            entries.insert(at, full);
+            DiscoveryMessage::maintenance(MaintenanceOp::SyncDelta {
+                buckets: gen::vec_of(rng, 0, 8, |r| r.next_u64() as u16),
+                entries,
+            })
+        }
+        4 => DiscoveryMessage::querying(QueryOp::Notify {
+            subscription: arb_query_id(rng),
+            hit: hit(rng),
+        }),
+        5 => DiscoveryMessage::querying(QueryOp::ComposeResponse {
+            id: arb_query_id(rng),
+            found: rng.gen_bool(0.5),
+            chain: gen::vec_of(rng, 1, 4, arb_advert),
+        }),
+        _ => DiscoveryMessage::querying(QueryOp::QueryResponse {
+            query_id: arb_query_id(rng),
+            hits: gen::vec_of(rng, 1, 4, hit),
+            responder: NodeId(rng.gen_range(0..10_000u32)),
+        }),
+    }
+}
+
+/// The adverts a message carries, in frame order.
+fn adverts_mut(msg: &mut DiscoveryMessage) -> Vec<&mut SharedAdvert> {
+    match &mut msg.op {
+        Operation::Publishing(
+            PublishOp::Publish { advert, .. } | PublishOp::Update { advert, .. },
+        ) => vec![advert],
+        Operation::Publishing(PublishOp::ForwardAdverts { adverts }) => {
+            adverts.iter_mut().collect()
+        }
+        Operation::Maintenance(MaintenanceOp::SyncDelta { entries, .. }) => entries
+            .iter_mut()
+            .filter_map(|e| match e {
+                SyncEntry::Full { advert, .. } => Some(advert),
+                SyncEntry::Delta { .. } => None,
+            })
+            .collect(),
+        Operation::Querying(QueryOp::QueryResponse { hits, .. }) => {
+            hits.iter_mut().map(|h| &mut h.advert).collect()
+        }
+        Operation::Querying(QueryOp::Notify { hit, .. }) => vec![&mut hit.advert],
+        Operation::Querying(QueryOp::ComposeResponse { chain, .. }) => chain.iter_mut().collect(),
+        _ => Vec::new(),
+    }
+}
+
+/// `msg` with every advert moved into a new, never-encoded allocation.
+fn rebuilt(msg: &DiscoveryMessage) -> DiscoveryMessage {
+    let mut copy = msg.clone();
+    for advert in adverts_mut(&mut copy) {
+        *advert = SharedAdvert::from(Advertisement::clone(advert));
+    }
+    copy
+}
+
+#[test]
+fn memoized_segments_encode_like_fresh_adverts() {
+    // The oracle of the benchmark encodes through the same shared adverts,
+    // so it cannot see a stale segment; this compares against allocations
+    // that have never been encoded.
+    Checker::new("memoized_segments_encode_like_fresh_adverts").cases(256).run(|rng| {
+        let mut msg = arb_advert_message(rng);
+        let fresh = codec::encode(&rebuilt(&msg));
+        assert_eq!(codec::encode(&msg), fresh, "first encode writes the segments");
+        assert_eq!(codec::encode(&msg), fresh, "second encode copies them");
+        assert_eq!(codec::decode(&fresh).expect("decodes"), msg);
+
+        // A segment written for one frame serves another: the same adverts,
+        // already encoded, forwarded in a frame of a different op.
+        let adverts: Vec<SharedAdvert> =
+            adverts_mut(&mut msg).into_iter().map(|a| a.clone()).collect();
+        let updates: Vec<SharedAdvert> = adverts
+            .iter()
+            .map(|a| {
+                let version = a.version.wrapping_add(1);
+                SharedAdvert::from(Advertisement { version, ..Advertisement::clone(a) })
+            })
+            .collect();
+        let forward = DiscoveryMessage::publishing(PublishOp::ForwardAdverts { adverts });
+        assert_eq!(codec::encode(&forward), codec::encode(&rebuilt(&forward)));
+
+        // An update is a new advert under the same id: it is written afresh,
+        // never served the bytes of the version it replaces.
+        let forward = DiscoveryMessage::publishing(PublishOp::ForwardAdverts { adverts: updates });
+        assert_eq!(codec::decode(&codec::encode(&forward)).expect("decodes"), forward);
     });
 }
 

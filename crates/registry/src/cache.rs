@@ -247,13 +247,12 @@ impl QueryCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sds_protocol::{Description, Uuid};
+    use sds_protocol::{Description, SharedAdvert, Uuid};
     use sds_semantic::{Degree, Ontology, ServiceProfile, ServiceRequest};
-    use std::sync::Arc;
 
     fn uri_hit(id: u128, uri: &str) -> ResponseHit {
         ResponseHit {
-            advert: Arc::new(Advertisement {
+            advert: SharedAdvert::from(Advertisement {
                 id: Uuid(id),
                 provider: NodeId(1),
                 description: Description::Uri(uri.into()),

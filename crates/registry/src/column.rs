@@ -2,7 +2,7 @@
 //! stored semantic advert, plus its lease, in one cache line per advert, and
 //! the request compiled once per query so that confirming a candidate is bit
 //! probes on that line instead of a table probe and three heap blocks
-//! (`Arc<Advertisement>`, `outputs`, `qos`).
+//! (`SharedAdvert`, `outputs`, `qos`).
 //!
 //! [`CompiledRequest::verdict`] is [`sds_semantic::match_request`] over a
 //! [`MatchRow`]; `match_request` stays the reference and the property below

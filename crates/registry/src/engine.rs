@@ -147,7 +147,10 @@ mod tests {
     use super::*;
     use crate::evaluate::{SemanticEvaluator, TemplateEvaluator, UriEvaluator};
     use crate::{LeasePolicy, PublishOutcome, ShardedEngine};
-    use sds_protocol::{Advertisement, Description, QueryId, QueryMessage, QueryPayload, Uuid};
+    use sds_protocol::{
+        codec, Advertisement, Description, DiscoveryMessage, QueryId, QueryMessage, QueryOp,
+        QueryPayload, SharedAdvert, Uuid,
+    };
     use sds_semantic::{
         Artifact, ArtifactId, ArtifactKind, Degree, Ontology, ServiceProfile, ServiceRequest,
         SubsumptionIndex,
@@ -341,7 +344,7 @@ mod tests {
                     ),
                     version: 1,
                 };
-                (c, out, Arc::new(advert))
+                (c, out, SharedAdvert::from(advert))
             })
             .find(|(_, _, a)| router.home_mask(a).count_ones() == 2)
             .expect("eight components do not all hash to one of four shards");
@@ -349,9 +352,9 @@ mod tests {
         let mut e = ShardedEngine::new(LeasePolicy::default(), 4, Some(&idx));
         e.register_evaluator(Box::new(SemanticEvaluator::new(idx)));
         e.publish(published.clone(), NodeId(1), 0, 60_000);
-        assert!(Arc::ptr_eq(&e.store().get(&Uuid(1)).unwrap().advert, &published));
+        assert!(SharedAdvert::ptr_eq(&e.store().get(&Uuid(1)).unwrap().advert, &published));
         // Ours plus one per home shard: neither shard holds a private copy.
-        assert_eq!(Arc::strong_count(&published), 1 + 2);
+        assert_eq!(SharedAdvert::strong_count(&published), 1 + 2);
 
         // The category query routes to one home shard, the output query to
         // the other; both hand out the published allocation, and so does a
@@ -364,12 +367,43 @@ mod tests {
             let q = query(QueryPayload::Semantic(request), None);
             let (hits, valid_until) = e.evaluate_with_validity(&q, 10);
             assert_eq!(hits.len(), 1);
-            assert!(Arc::ptr_eq(&hits[0].advert, &published));
+            assert!(SharedAdvert::ptr_eq(&hits[0].advert, &published));
             let key = cache_key(&q.payload, q.max_responses);
             cache.insert(key.clone(), &q.payload, hits, valid_until, 10);
             let served = cache.get(&key, 20).expect("inserted above");
-            assert!(Arc::ptr_eq(&served[0].advert, &published));
+            assert!(SharedAdvert::ptr_eq(&served[0].advert, &published));
         }
+    }
+
+    #[test]
+    fn an_update_is_encoded_afresh_while_a_held_handle_keeps_its_bytes() {
+        let frame = |hits: Vec<ResponseHit>| {
+            codec::encode(&DiscoveryMessage::querying(QueryOp::QueryResponse {
+                query_id: QueryId { origin: NodeId(9), seq: 1 },
+                hits,
+                responder: NodeId(0),
+            }))
+        };
+        // The frame of `hits` with `advert` in a never-encoded allocation.
+        let fresh = |hits: &[ResponseHit], advert: &Advertisement| {
+            let advert = SharedAdvert::from(advert.clone());
+            frame(vec![ResponseHit { advert, ..hits[0].clone() }])
+        };
+        let v1 = uri_advert(1, "urn:a");
+        let v2 = Advertisement { provider: NodeId(2), version: 2, ..v1.clone() };
+        let q = query(QueryPayload::Uri("urn:a".into()), None);
+        let mut e = engine_with_uri();
+        e.publish(v1.clone(), NodeId(1), 0, 10_000);
+        let held = e.evaluate(&q, 1);
+        // Writes v1's segment into the stored advert.
+        assert_eq!(frame(held.clone()), fresh(&held, &v1));
+
+        assert_eq!(e.publish(v2.clone(), NodeId(2), 2, 10_000).0, PublishOutcome::Updated);
+        let served = e.evaluate(&q, 3);
+        assert_eq!(*served[0].advert, v2);
+        assert_eq!(frame(served.clone()), fresh(&served, &v2), "the update ships v2's bytes");
+        assert_ne!(fresh(&served, &v2), fresh(&held, &v1));
+        assert_eq!(frame(held.clone()), fresh(&held, &v1), "a held v1 handle still encodes v1");
     }
 
     #[test]

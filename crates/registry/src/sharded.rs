@@ -31,12 +31,14 @@
 
 use std::cmp::Reverse;
 use std::collections::HashMap;
-use std::sync::Arc;
 
-use sds_protocol::{Advertisement, AdvertId, ModelId, QueryMessage, QueryPayload, ResponseHit};
+use sds_protocol::{
+    Advertisement, AdvertId, ModelId, QueryMessage, QueryPayload, ResponseHit, SharedAdvert,
+};
 use sds_semantic::{Artifact, ArtifactRepository, SubsumptionIndex};
 use sds_simnet::{pool, NodeId, SimTime};
 
+use crate::cache::{cache_key, CacheKey};
 use crate::engine::{rank_hits, select_ranked, Ranked, RankedRef, RegistrySummary, TopK};
 use crate::evaluate::ModelEvaluator;
 use crate::shard::{Route, ShardRouter};
@@ -193,13 +195,13 @@ impl ShardedEngine {
     /// requested-duration rules.
     pub fn publish(
         &mut self,
-        advert: impl Into<Arc<Advertisement>>,
+        advert: impl Into<SharedAdvert>,
         source: NodeId,
         now: SimTime,
         requested_lease_ms: u64,
     ) -> (PublishOutcome, SimTime) {
         // One allocation, shared by every home shard.
-        let advert: Arc<Advertisement> = advert.into();
+        let advert: SharedAdvert = advert.into();
         let lease_until = self.lease_policy.grant(now, requested_lease_ms);
         let id = advert.id;
         let new_mask = self.router.home_mask(&advert);
@@ -459,13 +461,15 @@ impl ShardedEngine {
     /// evaluating each query alone at any worker count (evaluation is pure:
     /// shared `&self` and the deterministic input-order reassembly below).
     pub fn evaluate_batch(&self, queries: &[QueryMessage], now: SimTime) -> BatchResult {
-        // Coalesce by (payload bytes, max): the codec encoding is injective,
-        // so equal keys ⇔ equal queries (QoS floats block a derived Eq).
-        let mut unique_of: HashMap<(Vec<u8>, Option<u16>), usize> = HashMap::new();
+        // Coalesce by the edge cache's key, so two queries share an
+        // evaluation exactly when they would share a cache entry: the codec
+        // encoding is injective, so equal keys ⇔ equal queries (QoS floats
+        // block a derived Eq).
+        let mut unique_of: HashMap<CacheKey, usize> = HashMap::new();
         let mut uniques: Vec<&QueryMessage> = Vec::new();
         let mut slot_of: Vec<usize> = Vec::with_capacity(queries.len());
         for q in queries {
-            let key = (sds_protocol::codec::encode_payload(&q.payload), q.max_responses);
+            let key = cache_key(&q.payload, q.max_responses);
             let slot = *unique_of.entry(key).or_insert_with(|| {
                 uniques.push(q);
                 uniques.len() - 1
@@ -517,10 +521,10 @@ impl ShardedEngine {
         request: &sds_semantic::ServiceRequest,
         now: SimTime,
         max_depth: usize,
-    ) -> Option<Vec<Arc<Advertisement>>> {
+    ) -> Option<Vec<SharedAdvert>> {
         let evaluator = self.evaluators.get(&ModelId::Semantic)?;
         let index = evaluator.subsumption_index()?;
-        let mut live: Vec<(&Arc<Advertisement>, &sds_semantic::ServiceProfile)> = self
+        let mut live: Vec<(&SharedAdvert, &sds_semantic::ServiceProfile)> = self
             .store()
             .live(now)
             .filter_map(|s| match &s.advert.description {

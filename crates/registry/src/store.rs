@@ -7,9 +7,8 @@
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap, HashMap};
-use std::sync::Arc;
 
-use sds_protocol::{AdvertId, Advertisement, Description, ModelId, QueryPayload};
+use sds_protocol::{AdvertId, Advertisement, Description, ModelId, QueryPayload, SharedAdvert};
 use sds_semantic::{ClassId, Degree, ServiceProfile, SubsumptionIndex};
 use sds_simnet::{NodeId, SimTime};
 
@@ -59,8 +58,8 @@ impl LeasePolicy {
 #[derive(Clone, Debug)]
 pub struct StoredAdvert {
     /// Shared with every hit, cache entry and message that carries this
-    /// advert; an update replaces the `Arc`, never mutates through it.
-    pub advert: Arc<Advertisement>,
+    /// advert; an update replaces the handle, never mutates through it.
+    pub advert: SharedAdvert,
     /// The node the publish physically came from (usually the provider, but
     /// replication forwards on behalf of others).
     pub source: NodeId,
@@ -287,13 +286,13 @@ impl RegistryStore {
     /// structurally: an equal advert in a fresh allocation is `Unchanged`.
     pub fn publish(
         &mut self,
-        advert: impl Into<Arc<Advertisement>>,
+        advert: impl Into<SharedAdvert>,
         source: NodeId,
         now: SimTime,
         lease_until: SimTime,
         requested_lease_ms: u64,
     ) -> PublishOutcome {
-        let advert: Arc<Advertisement> = advert.into();
+        let advert: SharedAdvert = advert.into();
         let id = advert.id;
         let Some(existing) = self.adverts.get_mut(&id) else {
             let row = self.index.insert(id, &advert, lease_until);

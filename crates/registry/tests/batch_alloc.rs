@@ -1,5 +1,5 @@
-//! Allocation audit for the two places a ranked result is handed on
-//! without being copied.
+//! Allocation audit for the places a ranked result is handed on without
+//! being copied, and for the response frame it is encoded into.
 //!
 //! `evaluate_batch` coalesces identical in-flight queries to one evaluation
 //! and returns duplicates as slot indices into the unique results — it used
@@ -8,13 +8,18 @@
 //! duplicates only must cost O(1) small allocations per duplicate (the
 //! coalescing key), nothing proportional to the hit vectors.
 //!
-//! A cache hit hands out `Arc<Advertisement>` references to the store's own
+//! A cache hit hands out `SharedAdvert` references to the store's own
 //! adverts — it used to deep-clone every hit's description. Serving a cached
 //! result must allocate the same number of blocks however many hits it has
 //! and however large their profiles are.
 //!
+//! Encoding the served result copies each hit's memoized wire segment into
+//! a frame sized exactly up front — it used to re-serialize every hit field
+//! by field into a buffer that grew by doubling. Once the segments exist,
+//! the frame is the only block, whatever the hit count.
+//!
 //! The counter is per thread, because the libtest harness runs separate
-//! tests on concurrent threads; both audits keep the engine on the calling
+//! tests on concurrent threads; the audits keep the engine on the calling
 //! thread (`workers = 1`).
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -22,7 +27,8 @@ use std::cell::Cell;
 use std::sync::Arc;
 
 use sds_protocol::{
-    Advertisement, Description, QueryId, QueryMessage, QueryPayload, Uuid,
+    codec, Advertisement, Description, DiscoveryMessage, QueryId, QueryMessage, QueryOp,
+    QueryPayload, SharedAdvert, Uuid,
 };
 use sds_registry::{
     cache_key, LeasePolicy, QueryCache, SemanticEvaluator, ShardedEngine, TemplateEvaluator,
@@ -177,7 +183,10 @@ fn serving_a_cached_result_allocates_independently_of_its_hits() {
         let store = engine.store();
         assert!(
             response.iter().all(|h| {
-                Arc::ptr_eq(&h.advert, &store.get(&h.advert.id).expect("still stored").advert)
+                SharedAdvert::ptr_eq(
+                    &h.advert,
+                    &store.get(&h.advert.id).expect("still stored").advert,
+                )
             }),
             "a served hit is the store's allocation, not a copy"
         );
@@ -187,4 +196,39 @@ fn serving_a_cached_result_allocates_independently_of_its_hits() {
         "serving 1, 32 and 320 cached hits allocated {served:?} blocks: the response vector \
          and nothing per hit"
     );
+}
+
+#[test]
+fn encoding_a_served_response_allocates_one_frame() {
+    for hits in [1usize, 32, 320] {
+        let (engine, payload) = engine_with_hits(hits);
+        let query = &burst(&payload, 1)[0];
+        let (ranked, valid_until) = engine.evaluate_with_validity(query, 1);
+        let mut cache = QueryCache::new(4);
+        let key = cache_key(&query.payload, query.max_responses);
+        cache.insert(key.clone(), &query.payload, ranked, valid_until, 1);
+        let mut served = || {
+            DiscoveryMessage::querying(QueryOp::QueryResponse {
+                query_id: query.id,
+                hits: cache.get(&key, 2).map(<[_]>::to_vec).expect("cached above"),
+                responder: NodeId(0),
+            })
+        };
+
+        // The warm encode writes every hit's segment; the next encode of a
+        // served copy of the same result only copies them.
+        let warm = codec::encode(&served());
+        let response = served();
+        let before = allocations();
+        let frame = codec::encode(&response);
+        let blocks = allocations() - before;
+
+        assert_eq!(frame, warm, "a memoized encode is the fresh encode");
+        assert_eq!(frame.capacity(), frame.len(), "the frame is reserved at its exact size");
+        assert_eq!(
+            blocks, 1,
+            "encoding a served {hits}-hit response allocated {blocks} blocks: the frame and \
+             nothing per hit"
+        );
+    }
 }

@@ -16,7 +16,8 @@ use sds_rand::check::{gen, Checker};
 use sds_rand::Rng;
 
 use sds_protocol::{
-    Advertisement, Description, DescriptionTemplate, QueryId, QueryMessage, QueryPayload, Uuid,
+    codec, Advertisement, Description, DescriptionTemplate, DiscoveryMessage, PublishOp, QueryId,
+    QueryMessage, QueryPayload, SharedAdvert, Uuid,
 };
 use sds_registry::{
     cache_key, LeasePolicy, PublishOutcome, QueryCache, SemanticEvaluator, ShardedEngine,
@@ -226,9 +227,10 @@ fn sharded_engine_matches_unsharded_at_every_shard_count() {
 }
 
 /// Publish equality is structural, never pointer identity: sharing adverts
-/// behind `Arc` must not tempt anyone to compare allocations. An equal
-/// advert arriving in a fresh allocation (a decoded retransmission) is
-/// `Unchanged`; a same-version advert with different content is `Updated`.
+/// behind `SharedAdvert` must not tempt anyone to compare allocations. An
+/// equal advert arriving in a fresh allocation (a decoded retransmission) is
+/// `Unchanged`, also when only the stored copy has its wire segment
+/// written; a same-version advert with different content is `Updated`.
 #[test]
 fn publish_compares_content_not_allocations() {
     Checker::new("publish_compares_content_not_allocations").run(|rng| {
@@ -249,15 +251,21 @@ fn publish_compares_content_not_allocations() {
         };
         for &n in &SHARD_COUNTS {
             let mut engine = sharded_engine(n, &idx);
-            let (first, twin) = (Arc::new(advert.clone()), Arc::new(advert.clone()));
-            assert!(!Arc::ptr_eq(&first, &twin));
-            let outcome = |e: &mut ShardedEngine, a: Arc<Advertisement>, now| {
+            let (first, twin) =
+                (SharedAdvert::from(advert.clone()), SharedAdvert::from(advert.clone()));
+            assert!(!SharedAdvert::ptr_eq(&first, &twin));
+            let outcome = |e: &mut ShardedEngine, a: SharedAdvert, now| {
                 e.publish(a, NodeId(1), now, 100).0
             };
             assert_eq!(outcome(&mut engine, first.clone(), 0), PublishOutcome::New);
+            // Sent on: `first` now carries its wire segment, `twin` does not.
+            codec::encode(&DiscoveryMessage::publishing(PublishOp::Publish {
+                advert: first.clone(),
+                lease_ms: 100,
+            }));
             assert_eq!(outcome(&mut engine, first, 1), PublishOutcome::Unchanged);
             assert_eq!(outcome(&mut engine, twin, 2), PublishOutcome::Unchanged, "{n} shards");
-            let changed = Arc::new(changed.clone());
+            let changed = SharedAdvert::from(changed.clone());
             assert_eq!(outcome(&mut engine, changed, 3), PublishOutcome::Updated, "{n} shards");
         }
     });

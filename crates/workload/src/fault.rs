@@ -254,7 +254,7 @@ mod tests {
         // A message with payload bytes (advert id, version): single-byte
         // flips inside those fields still decode, but to a different message.
         let msg = sds_protocol::DiscoveryMessage::publishing(sds_protocol::PublishOp::Publish {
-            advert: std::sync::Arc::new(sds_protocol::Advertisement {
+            advert: sds_protocol::SharedAdvert::from(sds_protocol::Advertisement {
                 id: sds_protocol::Uuid(0xDEAD_BEEF),
                 provider: sds_simnet::NodeId(7),
                 description: sds_protocol::Description::Uri("urn:radar".into()),

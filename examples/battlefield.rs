@@ -146,7 +146,7 @@ fn main() {
         uri_desc.body_size(),
         Codec::new(Compression::BinaryXml).message_size(&DiscoveryMessage::publishing(
             sds_protocol::PublishOp::Publish {
-                advert: Arc::new(sds_protocol::Advertisement {
+                advert: sds_protocol::SharedAdvert::from(sds_protocol::Advertisement {
                     id: sds_protocol::Uuid(1),
                     provider: warfighter,
                     description: radar_desc,

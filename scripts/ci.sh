@@ -16,8 +16,8 @@ cargo test -q --offline
 # benchmark run.
 cargo test --release --offline --manifest-path benchmark/Cargo.toml
 
-# Comparator smoke test on the newest committed pair: with its declared
-# movements it must pass (every undeclared seed-exact metric equal, every
+# Comparator smoke test on the latest committed pair with declared movements:
+# with them it must pass (every undeclared seed-exact metric equal, every
 # declared one moved as declared, every end-to-end metric inside its bound);
 # without them it must fail, which proves the declared list is load-bearing.
 # Comparing two revisions is a manual step (see the script's header); the
@@ -31,6 +31,9 @@ if [ "$undeclared" -ne 1 ]; then
   echo "bench_compare: the pr27 pair without its declared list exited $undeclared, not 1" >&2
   exit 1
 fi
+# The newest pair declares nothing: encoding each advert once moves host
+# time only, so every frame and count must compare equal as recorded.
+scripts/bench_compare.sh bench-results/febda56.results bench-results/pr29.results > /dev/null
 
 # Bounded chaos soak (quick mode): fixed 8-seed sweep of combined churn +
 # fault injection with post-heal convergence invariants. Deterministic, so

@@ -194,10 +194,12 @@ fn response_control_returns_a_prefix_of_the_unlimited_ranking() {
 /// A compact message generator spanning all three op families — enough
 /// surface for the fuzz property below to reach every handler arm.
 fn arb_wire_message(rng: &mut Rng, n: u32) -> sds_protocol::DiscoveryMessage {
-    use sds_protocol::{DiscoveryMessage, MaintenanceOp, PublishOp, QueryOp, ResponseHit, SyncEntry};
+    use sds_protocol::{
+        DiscoveryMessage, MaintenanceOp, PublishOp, QueryOp, ResponseHit, SharedAdvert, SyncEntry,
+    };
     use sds_semantic::Degree;
     let advert = |rng: &mut Rng| {
-        Arc::new(Advertisement {
+        SharedAdvert::from(Advertisement {
             id: Uuid(rng.gen_u128()),
             provider: NodeId(rng.gen_range(0..10u32)),
             description: arb_description(rng, n),
