@@ -19,9 +19,8 @@ use sds_protocol::{
     QueryPayload, ResponseHit, SharedAdvert,
 };
 use sds_semantic::Degree;
-use sds_simnet::{Ctx, Destination, NodeHandler, NodeId, SimTime, TimerId};
+use sds_simnet::{Ctx, Destination, IdMap, NodeHandler, NodeId, SimTime, TimerId};
 
-use std::collections::HashMap;
 
 const TAG_BEACON: u64 = 1;
 
@@ -78,13 +77,13 @@ pub struct DhtStats {
 pub struct DhtNode {
     cfg: DhtConfig,
     /// Key → adverts stored under that key (this node owns these keys).
-    index: HashMap<String, Vec<SharedAdvert>>,
+    index: IdMap<String, Vec<SharedAdvert>>,
     pub stats: DhtStats,
 }
 
 impl DhtNode {
     pub fn new(cfg: DhtConfig) -> Self {
-        Self { cfg, index: HashMap::new(), stats: DhtStats::default() }
+        Self { cfg, index: IdMap::default(), stats: DhtStats::default() }
     }
 
     pub fn stored_keys(&self) -> usize {

@@ -6,13 +6,12 @@
 //! registry nodes available. When a client has obtained a connection to the
 //! registry network, it can issue a query."
 
-use std::collections::HashMap;
 
 use sds_protocol::{
     DiscoveryMessage, MaintenanceOp, Operation, QueryId, QueryMessage, QueryOp, QueryPayload,
     ResponseHit, Uuid,
 };
-use sds_simnet::{Ctx, Destination, NodeHandler, NodeId, Rng, SimTime, TimerId};
+use sds_simnet::{Ctx, Destination, IdMap, NodeHandler, NodeId, Rng, SimTime, TimerId};
 
 use crate::attach::{AttachEvent, RegistryAttachment};
 use crate::config::{ClientConfig, QueryMode, QueryOptions};
@@ -52,7 +51,9 @@ struct OutstandingQuery {
     payload: Option<QueryPayload>,
     /// Re-sends performed so far (backoff checkpoints + failover).
     attempt: u8,
-    hits: HashMap<Uuid, ResponseHit>,
+    /// Wire seqs of those re-sends, each an entry in `ClientNode::alias`.
+    aliases: Vec<u64>,
+    hits: IdMap<Uuid, ResponseHit>,
     responses_received: u32,
     /// Responders already counted, so a duplicated delivery of the same
     /// response (chaos fault injection) cannot double-count.
@@ -95,11 +96,11 @@ pub struct ClientNode {
     cfg: ClientConfig,
     attach: RegistryAttachment,
     next_seq: u64,
-    outstanding: HashMap<u64, OutstandingQuery>,
+    outstanding: IdMap<u64, OutstandingQuery>,
     /// Wire-id aliases created by retries: retry seq → root query seq.
     /// Registries dedup query ids, so each re-send travels under a fresh
     /// id; responses to any alias are credited to the root query.
-    alias: HashMap<u64, u64>,
+    alias: IdMap<u64, u64>,
     /// Lazily derived jitter stream for query-retry backoff; never created
     /// while the retry policy is passive.
     retry_rng: Option<Rng>,
@@ -127,8 +128,8 @@ impl ClientNode {
             cfg,
             attach,
             next_seq: 0,
-            outstanding: HashMap::new(),
-            alias: HashMap::new(),
+            outstanding: IdMap::default(),
+            alias: IdMap::default(),
             retry_rng: None,
             busy_streak: 0,
             busy_nacks_total: 0,
@@ -180,7 +181,8 @@ impl ClientNode {
                 options,
                 payload: saved_payload,
                 attempt: 0,
-                hits: HashMap::new(),
+                aliases: Vec::new(),
+                hits: IdMap::default(),
                 responses_received: 0,
                 responders_seen: Vec::new(),
                 dispatched,
@@ -257,6 +259,7 @@ impl ClientNode {
         let ttl = o.options.ttl;
         let wire = self.next_seq;
         self.next_seq += 1;
+        o.aliases.push(wire);
         self.alias.insert(wire, root);
         let query = QueryMessage {
             id: QueryId { origin: ctx.node(), seq: wire },
@@ -467,7 +470,9 @@ impl ClientNode {
         let Some(o) = self.outstanding.remove(&seq) else {
             return;
         };
-        self.alias.retain(|_, &mut root| root != seq);
+        for wire in &o.aliases {
+            self.alias.remove(wire);
+        }
         let mut hits: Vec<ResponseHit> = o.hits.into_values().collect();
         sds_registry::rank_hits(&mut hits);
         if let Some(k) = o.options.max_responses {
@@ -577,5 +582,57 @@ impl NodeHandler<DiscoveryMessage> for ClientNode {
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::RetryPolicy;
+    use sds_simnet::{secs, Sim, SimConfig, Topology};
+
+    /// Root seqs that `alias` credits, with how many wire aliases each has.
+    fn alias_roots(c: &ClientNode) -> std::collections::BTreeMap<u64, usize> {
+        let mut roots = std::collections::BTreeMap::new();
+        for &root in c.alias.values() {
+            *roots.entry(root).or_insert(0) += 1;
+        }
+        roots
+    }
+
+    #[test]
+    fn finalizing_a_query_removes_only_its_own_aliases() {
+        // No registry: every query goes unanswered, so each backoff
+        // checkpoint re-sends it under a fresh wire alias.
+        let mut topo = Topology::new();
+        let lan = topo.add_lan();
+        let mut sim: Sim<DiscoveryMessage> = Sim::new(SimConfig::default(), topo, 7);
+        let cfg = ClientConfig { retry: RetryPolicy::standard(), ..ClientConfig::default() };
+        let client = sim.add_node(lan, Box::new(ClientNode::new(cfg)));
+        let mut seqs = Vec::new();
+        for timeout in [secs(3), secs(20)] {
+            sim.with_node::<ClientNode>(client, |c, ctx| {
+                let options = QueryOptions { timeout, ..QueryOptions::default() };
+                seqs.push(c.issue_query(ctx, QueryPayload::Uri("urn:svc:x".into()), options));
+            });
+        }
+        let (short, long) = (seqs[0], seqs[1]);
+
+        sim.run_until(secs(2));
+        let c = sim.handler::<ClientNode>(client).unwrap();
+        let before = alias_roots(c);
+        assert!(before[&short] > 0 && before[&long] > 0, "both queries retried: {before:?}");
+
+        sim.run_until(secs(4));
+        let c = sim.handler::<ClientNode>(client).unwrap();
+        assert_eq!(c.completed.len(), 1);
+        let after = alias_roots(c);
+        assert!(!after.contains_key(&short), "finalized query's aliases remain: {after:?}");
+        assert!(after[&long] >= before[&long], "another query's aliases were removed");
+
+        sim.run_until(secs(25));
+        let c = sim.handler::<ClientNode>(client).unwrap();
+        assert_eq!(c.completed.len(), 2);
+        assert!(c.alias.is_empty(), "aliases outlive their queries: {:?}", c.alias);
     }
 }

@@ -21,7 +21,7 @@
 //! * gateway election among co-located registries (paper §4.7) so only one
 //!   local registry forwards a given query onto the WAN.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use sds_protocol::{
@@ -33,7 +33,7 @@ use sds_registry::{
     ShardedEngine, SubscriptionIndex, TemplateEvaluator, UriEvaluator,
 };
 use sds_semantic::{Artifact, ClassId, SubsumptionIndex};
-use sds_simnet::{Ctx, Destination, NodeId, NodeHandler, Rng, SimTime, TimerId};
+use sds_simnet::{Ctx, Destination, IdMap, NodeId, NodeHandler, Rng, SimTime, TimerId};
 
 use crate::config::{
     ForwardStrategy, RegistryConfig, CACHE_SWEEP_INTERVAL, PEER_PING_TOLERANCE, PURGE_INTERVAL,
@@ -110,7 +110,7 @@ struct PendingQuery {
     client: NodeId,
     original: QueryMessage,
     /// Best hit per advert id seen so far.
-    hits: HashMap<Uuid, ResponseHit>,
+    hits: IdMap<Uuid, ResponseHit>,
     /// Expanding-ring round index (0-based); unused for other strategies.
     ring_round: usize,
     /// Query ids whose responses feed this aggregation (original id plus any
@@ -196,14 +196,14 @@ pub struct RegistryNode {
     seen: SeenQueries,
     /// Nodes that recently attached here (refreshed by their periodic
     /// RegistryListRequest), as the load hint for probe replies.
-    attached: HashMap<NodeId, SimTime>,
+    attached: IdMap<NodeId, SimTime>,
     /// Standing queries: subscription id → (subscriber, payload, lease).
-    subscriptions: HashMap<QueryId, Subscription>,
+    subscriptions: IdMap<QueryId, Subscription>,
     /// Reverse index over subscription payloads so a publish only re-matches
     /// the standing queries whose constraints relate to the new advert.
     sub_index: SubscriptionIndex,
-    pending: HashMap<u64, PendingQuery>,
-    pending_by_alias: HashMap<QueryId, u64>,
+    pending: IdMap<u64, PendingQuery>,
+    pending_by_alias: IdMap<QueryId, u64>,
     next_pending: u64,
     next_rewrite_seq: u64,
     pub stats: RegistryNodeStats,
@@ -225,11 +225,11 @@ impl RegistryNode {
             overload: OverloadState::default(),
             local_registries: BTreeMap::new(),
             seen: SeenQueries::new(SEEN_RETENTION),
-            attached: HashMap::new(),
-            subscriptions: HashMap::new(),
+            attached: IdMap::default(),
+            subscriptions: IdMap::default(),
             sub_index: SubscriptionIndex::new(),
-            pending: HashMap::new(),
-            pending_by_alias: HashMap::new(),
+            pending: IdMap::default(),
+            pending_by_alias: IdMap::default(),
             next_pending: 0,
             next_rewrite_seq: 0,
             stats: RegistryNodeStats::default(),
@@ -729,7 +729,7 @@ impl RegistryNode {
         let mut pending = PendingQuery {
             client: from,
             original: query.clone(),
-            hits: HashMap::new(),
+            hits: IdMap::default(),
             ring_round: 0,
             aliases: vec![query.id],
         };

@@ -13,12 +13,16 @@
 //!   so each component gets an independent, reproducible stream and adding a
 //!   consumer in one place never perturbs the stream of another;
 //! * [`check`] — a minimal seeded property-test harness: N seeded cases,
-//!   failing-case seed reporting, explicit regression-case registration.
+//!   failing-case seed reporting, explicit regression-case registration;
+//! * [`IdMap`] — the workspace's one hash map type, hashed by the keyed
+//!   multiply-fold [`IdHasher`] under a per-map key.
 
+mod hash;
 mod rng;
 mod seed;
 
 pub mod check;
 
+pub use hash::{IdBuildHasher, IdHasher, IdMap};
 pub use rng::{Rng, UniformRange};
 pub use seed::Seed;

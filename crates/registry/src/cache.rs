@@ -25,11 +25,11 @@
 //! cheap, deterministic, and good enough for a cache whose entries are
 //! usually invalidated by lease churn long before capacity pressure.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use sds_protocol::{Advertisement, QueryId, QueryPayload, ResponseHit};
 use sds_semantic::SubsumptionIndex;
-use sds_simnet::{NodeId, SimTime};
+use sds_simnet::{IdMap, NodeId, SimTime};
 
 use crate::subscriptions::SubscriptionIndex;
 
@@ -77,7 +77,7 @@ pub struct QueryCache {
     /// Key → `(insertion seq, valid_until)`: everything a lookup decides on
     /// comes out of this one probe by copy, so a hit hashes the key once and
     /// a lapsed entry can be dropped without a borrow of it in the way.
-    entries: HashMap<CacheKey, (u64, SimTime)>,
+    entries: IdMap<CacheKey, (u64, SimTime)>,
     /// Insertion order → entry, for FIFO eviction and seq → entry resolution
     /// during reverse invalidation.
     by_seq: BTreeMap<u64, CacheEntry>,
@@ -93,7 +93,7 @@ impl QueryCache {
     /// every insert is dropped).
     pub fn new(capacity: usize) -> Self {
         Self {
-            entries: HashMap::new(),
+            entries: IdMap::default(),
             by_seq: BTreeMap::new(),
             index: SubscriptionIndex::new(),
             next_seq: 0,

@@ -296,7 +296,7 @@ mod tests {
         // map iteration order, and the planner takes the *first* producer of
         // a needed concept — identical stores answered with different
         // providers from one process to the next (and one store to the next:
-        // every `HashMap` draws its own `RandomState`).
+        // every `IdMap` draws its own hash key).
         let mut o = Ontology::new();
         let thing = o.class("Thing", &[]);
         let track = o.class("Track", &[thing]);

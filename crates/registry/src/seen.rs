@@ -5,39 +5,60 @@
 //! query id it processes; a re-arrival within the retention window is
 //! dropped instead of being evaluated and forwarded again.
 
-use std::collections::HashMap;
+use std::collections::hash_map::Entry;
+use std::collections::VecDeque;
 
 use sds_protocol::QueryId;
-use sds_simnet::SimTime;
+use sds_simnet::{IdMap, SimTime};
 
 /// Time-bounded set of recently seen query ids.
+///
+/// Ids expire in arrival order: a node's clock never runs back, so the
+/// oldest recording is always at the front of `arrivals`, and each sighting
+/// pops only the recordings that have expired by then. Bookkeeping is O(1)
+/// amortised per sighting however many ids are held.
 #[derive(Debug)]
 pub struct SeenQueries {
     retention_ms: u64,
-    seen: HashMap<QueryId, SimTime>,
+    seen: IdMap<QueryId, SimTime>,
+    /// Every recording in `seen`, oldest first.
+    arrivals: VecDeque<(SimTime, QueryId)>,
 }
 
 impl SeenQueries {
     /// `retention_ms` should exceed the maximum plausible query lifetime in
     /// the registry network (TTL × per-hop latency, with margin).
     pub fn new(retention_ms: u64) -> Self {
-        Self { retention_ms, seen: HashMap::new() }
+        Self { retention_ms, seen: IdMap::default(), arrivals: VecDeque::new() }
     }
 
     /// Records `id` at `now`. Returns `true` when the id is new (the query
     /// should be processed), `false` when it is a duplicate (drop it).
-    /// Opportunistically evicts expired entries to bound memory.
+    /// `now` must not decrease between calls.
     pub fn first_sighting(&mut self, id: QueryId, now: SimTime) -> bool {
-        if self.seen.len() > 1024 {
-            let cutoff = now.saturating_sub(self.retention_ms);
-            self.seen.retain(|_, &mut t| t > cutoff);
-        }
-        match self.seen.get(&id) {
-            Some(&t) if now.saturating_sub(t) < self.retention_ms => false,
-            _ => {
-                self.seen.insert(id, now);
+        self.expire(now);
+        match self.seen.entry(id) {
+            Entry::Occupied(_) => false,
+            Entry::Vacant(slot) => {
+                slot.insert(now);
+                self.arrivals.push_back((now, id));
                 true
             }
+        }
+    }
+
+    /// Forgets every id recorded `retention_ms` or more before `now`, the
+    /// same predicate that stops an id counting as a duplicate.
+    fn expire(&mut self, now: SimTime) {
+        while let Some(&(at, id)) = self.arrivals.front() {
+            if now.saturating_sub(at) < self.retention_ms {
+                break;
+            }
+            self.arrivals.pop_front();
+            // An id is recorded only while absent, and leaves the map only
+            // here, so each map entry has exactly one arrival.
+            let recorded = self.seen.remove(&id);
+            debug_assert_eq!(recorded, Some(at), "arrival out of step with the map");
         }
     }
 
@@ -53,6 +74,7 @@ impl SeenQueries {
     /// Drops all state (e.g. on simulated node restart).
     pub fn clear(&mut self) {
         self.seen.clear();
+        self.arrivals.clear();
     }
 }
 
@@ -86,7 +108,20 @@ mod tests {
         for i in 0..2_000 {
             assert!(s.first_sighting(qid(i), i));
         }
-        assert!(s.len() <= 1_100, "expired entries evicted, got {}", s.len());
+        assert_eq!(s.len(), 100, "only the last retention window is held");
+    }
+
+    #[test]
+    fn many_sightings_inside_the_window_keep_the_first_id() {
+        // Before `now` reaches the retention, an id seen at t = 0 is still
+        // inside its window however many other ids arrive meanwhile.
+        let mut s = SeenQueries::new(30_000);
+        assert!(s.first_sighting(qid(0), 0));
+        for i in 1..1_100 {
+            assert!(s.first_sighting(qid(i), i * 10));
+        }
+        assert!(!s.first_sighting(qid(0), 11_000), "t = 0 id forgotten inside its window");
+        assert_eq!(s.len(), 1_100);
     }
 
     #[test]

@@ -30,13 +30,12 @@
 //! and the `shard_props` sweep).
 
 use std::cmp::Reverse;
-use std::collections::HashMap;
 
 use sds_protocol::{
     Advertisement, AdvertId, ModelId, QueryMessage, QueryPayload, ResponseHit, SharedAdvert,
 };
 use sds_semantic::{Artifact, ArtifactRepository, SubsumptionIndex};
-use sds_simnet::{pool, NodeId, SimTime};
+use sds_simnet::{pool, IdMap, NodeId, SimTime};
 
 use crate::cache::{cache_key, CacheKey};
 use crate::engine::{rank_hits, select_ranked, Ranked, RankedRef, RegistrySummary, TopK};
@@ -97,13 +96,13 @@ impl BatchResult {
 pub struct ShardedEngine {
     router: ShardRouter,
     shards: Vec<RegistryStore>,
-    homes: HashMap<AdvertId, Home>,
+    homes: IdMap<AdvertId, Home>,
     /// Distinct stored adverts per model wire tag (multi-homed adverts count
     /// once) — the sharded analogue of the store's model buckets, kept
     /// incrementally so `summary`'s fast path stays O(shards).
     model_counts: [usize; 3],
     lease_policy: LeasePolicy,
-    evaluators: HashMap<ModelId, Box<dyn ModelEvaluator>>,
+    evaluators: IdMap<ModelId, Box<dyn ModelEvaluator>>,
     artifacts: ArtifactRepository,
     /// Worker threads the read path fans out to (1 = everything on the
     /// calling thread). Writes (publish/renew/purge) always run sequentially
@@ -125,10 +124,10 @@ impl ShardedEngine {
         Self {
             router,
             shards,
-            homes: HashMap::new(),
+            homes: IdMap::default(),
             model_counts: [0; 3],
             lease_policy,
-            evaluators: HashMap::new(),
+            evaluators: IdMap::default(),
             artifacts: ArtifactRepository::new(),
             workers: 1,
         }
@@ -465,7 +464,7 @@ impl ShardedEngine {
         // evaluation exactly when they would share a cache entry: the codec
         // encoding is injective, so equal keys ⇔ equal queries (QoS floats
         // block a derived Eq).
-        let mut unique_of: HashMap<CacheKey, usize> = HashMap::new();
+        let mut unique_of: IdMap<CacheKey, usize> = IdMap::default();
         let mut uniques: Vec<&QueryMessage> = Vec::new();
         let mut slot_of: Vec<usize> = Vec::with_capacity(queries.len());
         for q in queries {
@@ -580,7 +579,7 @@ impl ShardedEngine {
 /// accessor surface callers use on `engine().store()`.
 pub struct StoreView<'a> {
     shards: &'a [RegistryStore],
-    homes: &'a HashMap<AdvertId, Home>,
+    homes: &'a IdMap<AdvertId, Home>,
 }
 
 impl<'a> StoreView<'a> {

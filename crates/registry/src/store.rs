@@ -6,11 +6,11 @@
 //! of a full scan.
 
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap, HashMap};
+use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
 
 use sds_protocol::{AdvertId, Advertisement, Description, ModelId, QueryPayload, SharedAdvert};
 use sds_semantic::{ClassId, Degree, ServiceProfile, SubsumptionIndex};
-use sds_simnet::{NodeId, SimTime};
+use sds_simnet::{IdMap, NodeId, SimTime};
 
 use crate::column::{CompiledRequest, MatchRow};
 
@@ -115,15 +115,15 @@ type RowPosting = BTreeMap<AdvertId, u32>;
 #[derive(Default, Debug)]
 struct SecondaryIndex {
     /// Exact service-type URI → adverts (the URI model matches exactly).
-    by_uri: HashMap<String, BTreeSet<AdvertId>>,
+    by_uri: IdMap<String, BTreeSet<AdvertId>>,
     /// Template `type_uri` → adverts carrying that type. Untyped template
     /// adverts appear only in the model bucket; a type-constrained template
     /// query can never match them.
-    by_template_type: HashMap<String, BTreeSet<AdvertId>>,
+    by_template_type: IdMap<String, BTreeSet<AdvertId>>,
     /// Advertised category concept → semantic adverts (one posting each).
-    by_category: HashMap<ClassId, RowPosting>,
+    by_category: IdMap<ClassId, RowPosting>,
     /// Advertised output concept → semantic adverts producing it.
-    by_output: HashMap<ClassId, RowPosting>,
+    by_output: IdMap<ClassId, RowPosting>,
     /// All adverts of each description model, by wire tag.
     by_model: [BTreeSet<AdvertId>; 3],
     /// The match column: one packed row per stored semantic advert, dense.
@@ -204,7 +204,7 @@ impl SecondaryIndex {
 /// reports whether the posting is now empty), dropping an emptied entry so
 /// churn does not leak keys.
 fn remove_posting<K: std::hash::Hash + Eq, P>(
-    map: &mut HashMap<K, P>,
+    map: &mut IdMap<K, P>,
     key: &K,
     take: impl FnOnce(&mut P) -> bool,
 ) {
@@ -256,7 +256,7 @@ impl<'a> Candidates<'a> {
 /// The advertisement table of one registry.
 #[derive(Default, Debug)]
 pub struct RegistryStore {
-    adverts: HashMap<AdvertId, StoredAdvert>,
+    adverts: IdMap<AdvertId, StoredAdvert>,
     index: SecondaryIndex,
     /// Lazy min-heap of `(lease_until, id, generation)`. An entry is current
     /// when the stored advert's `lease_generation` matches; anything else
@@ -508,7 +508,7 @@ impl RegistryStore {
     /// The non-empty postings of every concept related to `root`, each with
     /// its concept: what a semantic request constrained on `root` walks.
     fn related_postings<'a>(
-        postings: &'a HashMap<ClassId, RowPosting>,
+        postings: &'a IdMap<ClassId, RowPosting>,
         idx: &'a SubsumptionIndex,
         root: ClassId,
     ) -> impl Iterator<Item = (ClassId, &'a RowPosting)> {
@@ -518,7 +518,7 @@ impl RegistryStore {
     /// Unions the postings related to `root` into one sorted, deduplicated
     /// candidate list.
     fn merge_postings(
-        postings: &HashMap<ClassId, RowPosting>,
+        postings: &IdMap<ClassId, RowPosting>,
         idx: &SubsumptionIndex,
         root: ClassId,
     ) -> Candidates<'static> {

@@ -9,24 +9,25 @@
 //! evaluator, so a publish only re-matches the standing queries whose
 //! requested concepts relate to the new advert instead of all of them.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
 use sds_protocol::{Advertisement, Description, ModelId, QueryId, QueryPayload};
 use sds_semantic::{ClassId, SubsumptionIndex};
+use sds_simnet::IdMap;
 
 /// Secondary index over standing queries, keyed by what they constrain on.
 #[derive(Default, Debug)]
 pub struct SubscriptionIndex {
     /// URI subscriptions, by their exact query string.
-    by_uri: HashMap<String, BTreeSet<QueryId>>,
+    by_uri: IdMap<String, BTreeSet<QueryId>>,
     /// Template subscriptions constrained on `type_uri`, by that type.
-    by_template_type: HashMap<String, BTreeSet<QueryId>>,
+    by_template_type: IdMap<String, BTreeSet<QueryId>>,
     /// Semantic subscriptions constrained on a category, by that concept.
-    by_category: HashMap<ClassId, BTreeSet<QueryId>>,
+    by_category: IdMap<ClassId, BTreeSet<QueryId>>,
     /// Semantic subscriptions without a category but with outputs, by their
     /// first requested output (one necessary constraint suffices for
     /// soundness; the evaluator checks the rest).
-    by_output: HashMap<ClassId, BTreeSet<QueryId>>,
+    by_output: IdMap<ClassId, BTreeSet<QueryId>>,
     /// Subscriptions the keyed postings cannot narrow: templates without a
     /// type constraint, semantic requests with neither category nor outputs.
     /// Probed whenever an advert of the matching model arrives.
@@ -179,7 +180,7 @@ impl SubscriptionIndex {
 
 /// Removes `id` from one posting list, dropping emptied entries.
 fn remove_posting<K: std::hash::Hash + Eq + Clone>(
-    map: &mut HashMap<K, BTreeSet<QueryId>>,
+    map: &mut IdMap<K, BTreeSet<QueryId>>,
     key: &K,
     id: QueryId,
 ) {

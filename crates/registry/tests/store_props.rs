@@ -203,3 +203,58 @@ fn seen_cache_drops_exactly_in_window_duplicates() {
         }
     });
 }
+
+#[test]
+fn seen_cache_matches_a_never_evicting_model_across_clears() {
+    // Streams long and dense enough that expiry pops on most sightings,
+    // with restarts (`clear`) mixed in.
+    Checker::new("seen_cache_matches_a_never_evicting_model_across_clears").run(|rng| {
+        let retention = rng.gen_range(1..500u64);
+        let ids = rng.gen_range(1..400u64);
+        let steps = gen::vec_of(rng, 1, 3_000, |r| {
+            (r.gen_range(0..ids), r.gen_range(0..4u64), r.gen_range(0..400u32) == 0)
+        });
+        let mut cache = SeenQueries::new(retention);
+        // id -> time last recorded; never evicted, so it also remembers ids
+        // long expired.
+        let mut model: std::collections::BTreeMap<u64, SimTime> = Default::default();
+        // Sightings inside the last `retention` ms, and how many per id.
+        let mut window: std::collections::VecDeque<(SimTime, u64)> = Default::default();
+        let mut in_window: std::collections::BTreeMap<u64, usize> = Default::default();
+        let mut now: SimTime = 0;
+        for (seq, dt, clear) in steps {
+            now += dt;
+            if clear {
+                cache.clear();
+                model.clear();
+                window.clear();
+                in_window.clear();
+            }
+            let fresh = cache.first_sighting(QueryId { origin: NodeId(7), seq }, now);
+            let expected = model.get(&seq).is_none_or(|&at| now - at >= retention);
+            assert_eq!(fresh, expected, "seq {seq} at {now}");
+            if expected {
+                model.insert(seq, now);
+            }
+            window.push_back((now, seq));
+            *in_window.entry(seq).or_default() += 1;
+            while let Some(&(at, id)) = window.front() {
+                if now - at < retention {
+                    break;
+                }
+                window.pop_front();
+                let n = in_window.get_mut(&id).expect("counted on push");
+                *n -= 1;
+                if *n == 0 {
+                    in_window.remove(&id);
+                }
+            }
+            assert!(
+                cache.len() <= in_window.len(),
+                "holds {} ids, only {} sighted in the last {retention} ms",
+                cache.len(),
+                in_window.len()
+            );
+        }
+    });
+}

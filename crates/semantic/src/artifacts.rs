@@ -6,7 +6,7 @@
 //! Such functionality could be provided by the discovery service." Registries
 //! therefore host named artifacts that clients can fetch in-band.
 
-use std::collections::HashMap;
+use crate::hash::IdMap;
 
 /// Identifies an artifact by name and version.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
@@ -46,8 +46,8 @@ pub struct Artifact {
 /// A registry-local artifact store with latest-version lookup.
 #[derive(Default, Debug)]
 pub struct ArtifactRepository {
-    by_id: HashMap<ArtifactId, Artifact>,
-    latest: HashMap<String, u32>,
+    by_id: IdMap<ArtifactId, Artifact>,
+    latest: IdMap<String, u32>,
 }
 
 impl ArtifactRepository {

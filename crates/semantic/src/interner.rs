@@ -1,6 +1,6 @@
 //! String interning for RDF-ish terms (IRIs, literals).
 
-use std::collections::HashMap;
+use crate::hash::IdMap;
 
 /// Identifies an interned term. Dense from zero, so it can index side tables.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -18,7 +18,7 @@ impl TermId {
 #[derive(Default, Debug)]
 pub struct Interner {
     strings: Vec<Box<str>>,
-    ids: HashMap<Box<str>, TermId>,
+    ids: IdMap<Box<str>, TermId>,
 }
 
 impl Interner {

@@ -26,6 +26,10 @@
 mod artifacts;
 mod bitset;
 mod composition;
+// The workspace hasher (see its module docs). sds-semantic has no
+// dependencies, so it compiles sds-rand's source file instead of linking it.
+#[path = "../../rand/src/hash.rs"]
+mod hash;
 mod interner;
 mod matchmaker;
 mod mediation;

@@ -13,8 +13,7 @@
 //! in the source vocabulary against profiles described in the target
 //! vocabulary (translate, then subsumption-match as usual).
 
-use std::collections::HashMap;
-
+use crate::hash::IdMap;
 use crate::matchmaker::{match_request, MatchResult};
 use crate::ontology::ClassId;
 use crate::profile::{ServiceProfile, ServiceRequest};
@@ -33,7 +32,7 @@ use crate::reasoner::SubsumptionIndex;
 /// ```
 #[derive(Clone, Default, Debug)]
 pub struct ClassMapping {
-    pairs: HashMap<ClassId, ClassId>,
+    pairs: IdMap<ClassId, ClassId>,
 }
 
 impl ClassMapping {

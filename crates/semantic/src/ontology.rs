@@ -5,9 +5,9 @@
 //! DAG of named classes. Acyclicity holds by construction: a class may only
 //! name already-registered classes as superclasses.
 
-use std::collections::HashMap;
 use std::fmt;
 
+use crate::hash::IdMap;
 use crate::interner::Interner;
 use crate::triple::{Triple, TriplePattern, TripleStore};
 
@@ -55,7 +55,7 @@ pub const CLASS: &str = "rdfs:Class";
 #[derive(Default, Debug)]
 pub struct Ontology {
     names: Vec<String>,
-    by_name: HashMap<String, ClassId>,
+    by_name: IdMap<String, ClassId>,
     parents: Vec<Vec<ClassId>>,
     children: Vec<Vec<ClassId>>,
 }
@@ -152,7 +152,7 @@ impl Ontology {
             .query(TriplePattern::any().with_p(p_type).with_o(o_class))
             .map(|t| interner.resolve(t.s))
             .collect();
-        let mut edges: HashMap<&str, Vec<&str>> = HashMap::new();
+        let mut edges: IdMap<&str, Vec<&str>> = IdMap::default();
         for t in store.query(TriplePattern::any().with_p(p_sub)) {
             edges
                 .entry(interner.resolve(t.s))
@@ -160,9 +160,9 @@ impl Ontology {
                 .push(interner.resolve(t.o));
         }
         // Kahn's algorithm over the declared classes.
-        let mut indegree: HashMap<&str, usize> =
+        let mut indegree: IdMap<&str, usize> =
             decls.iter().map(|&n| (n, edges.get(n).map_or(0, Vec::len))).collect();
-        let mut dependents: HashMap<&str, Vec<&str>> = HashMap::new();
+        let mut dependents: IdMap<&str, Vec<&str>> = IdMap::default();
         for (&child, parents) in &edges {
             for &parent in parents {
                 dependents.entry(parent).or_default().push(child);

@@ -21,10 +21,10 @@
 //! same code with no cross-domain traffic.
 
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, HashMap};
+use std::collections::{BTreeMap, BinaryHeap};
 use std::rc::Rc;
 
-use sds_rand::{Rng, Seed};
+use sds_rand::{IdMap, Rng, Seed};
 
 use crate::engine::{Corruptor, FaultProfile, NodeCapacity, SimConfig};
 use crate::handler::{Action, Ctx, NodeHandler};
@@ -342,7 +342,7 @@ pub(crate) struct Domain<P> {
     /// of their queued event. Entries leave on fire *and* on cancel, so the
     /// map is bounded by the number of outstanding timers — cancelling an
     /// already-fired timer is a map miss, never a leak.
-    pub(crate) timer_slots: HashMap<TimerId, (u32, u64)>,
+    pub(crate) timer_slots: IdMap<TimerId, (u32, u64)>,
     pub(crate) stats: NetStats,
     pub(crate) events_processed: u64,
     /// Per-local-LAN medium busy-until time (bandwidth model).
@@ -389,7 +389,7 @@ impl<P: Clone + Send + 'static> Domain<P> {
             fault: streams("simnet.lan.fault"),
             timer_table: Vec::new(),
             timer_free: Vec::new(),
-            timer_slots: HashMap::new(),
+            timer_slots: IdMap::default(),
             stats: NetStats::default(),
             events_processed: 0,
             lan_busy_until: vec![0; nl],

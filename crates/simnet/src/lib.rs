@@ -62,8 +62,9 @@ mod topology;
 pub use engine::{ControlAction, Corruptor, FaultProfile, NodeCapacity, Sim, SimConfig};
 pub use par::PartitionPlan;
 // Handlers receive a `&mut Rng` through `Ctx::rng`; re-exported so roles can
-// name the type without depending on sds-rand directly.
-pub use sds_rand::{Rng, Seed};
+// name the type without depending on sds-rand directly. `IdMap` likewise,
+// so the registry hashes with the workspace's one hasher.
+pub use sds_rand::{IdMap, Rng, Seed};
 pub use handler::{take_payload, Ctx, NodeHandler};
 pub use ids::{LanId, NodeId, TimerId};
 pub use message::{Destination, MsgKind};
