@@ -11,15 +11,15 @@ use sds_bench::harness::{black_box, Harness};
 
 use sds_protocol::{
     codec, Advertisement, Description, DescriptionTemplate, DiscoveryMessage, ModelId, PublishOp,
-    QueryId, QueryMessage, QueryPayload, SharedAdvert, Uuid,
+    QueryId, QueryMessage, QueryOp, QueryPayload, ResponseHit, SharedAdvert, Uuid,
 };
 use sds_rand::Rng;
 use sds_registry::{
     LeasePolicy, RegistryStore, SemanticEvaluator, ShardedEngine, TemplateEvaluator, UriEvaluator,
 };
 use sds_semantic::{
-    ClassId, Interner, Matchmaker, QosKey, ServiceProfile, ServiceRequest, SubsumptionIndex,
-    Triple, TriplePattern, TripleStore,
+    ClassId, Degree, Interner, Matchmaker, QosKey, ServiceProfile, ServiceRequest,
+    SubsumptionIndex, Triple, TriplePattern, TripleStore,
 };
 use sds_simnet::{Ctx, Destination, NodeHandler, NodeId, Sim, SimConfig, Topology};
 use sds_workload::{battlefield, parametric, PopulationSpec, Workload};
@@ -287,7 +287,7 @@ fn bench_codec(h: &mut Harness) {
         &classes,
         &PopulationSpec {
             model: ModelId::Semantic,
-            services: 1,
+            services: 32,
             queries: 0,
             generalization_rate: 0.0,
             seed: 3,
@@ -308,6 +308,39 @@ fn bench_codec(h: &mut Harness) {
     g.bench("decode_publish", |b| {
         b.iter(|| black_box(codec::decode(black_box(&bytes)).unwrap()))
     });
+
+    // The two frames of every benchmark query: a capped semantic category
+    // request in, up to 32 ranked hits out, whose adverts are already
+    // encoded (the store's adverts are, after their first response).
+    let query = codec::encode(&DiscoveryMessage::querying(QueryOp::Query(QueryMessage {
+        id: QueryId { origin: NodeId(0), seq: 4_242 },
+        payload: QueryPayload::Semantic(
+            ServiceRequest::for_category(ClassId(5)).with_qos(QosKey::Accuracy, 0.37),
+        ),
+        max_responses: Some(32),
+        ttl: 0,
+        reply_to: None,
+    })));
+    g.bench("decode_query", |b| b.iter(|| black_box(codec::decode(black_box(&query)).unwrap())));
+    let hits = (0..32)
+        .map(|i| ResponseHit {
+            advert: SharedAdvert::from(Advertisement {
+                id: Uuid(i as u128),
+                provider: NodeId(i),
+                description: w.descriptions[i as usize].clone(),
+                version: 1,
+            }),
+            degree: Degree::PlugIn,
+            distance: 1,
+        })
+        .collect();
+    let response = DiscoveryMessage::querying(QueryOp::QueryResponse {
+        query_id: QueryId { origin: NodeId(0), seq: 4_242 },
+        hits,
+        responder: NodeId(0),
+    });
+    codec::encode(&response);
+    g.bench("encode_response_32", |b| b.iter(|| black_box(codec::encode(black_box(&response)))));
 }
 
 struct PingPong {

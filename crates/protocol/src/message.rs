@@ -34,21 +34,10 @@ pub enum ModelId {
 impl ModelId {
     pub const ALL: [ModelId; 3] = [ModelId::Uri, ModelId::Template, ModelId::Semantic];
 
+    /// The model's next-header tag, which is also its index in per-model
+    /// arrays. The codec's `ModelId` row writes the same tag.
     pub fn wire_tag(self) -> u8 {
-        match self {
-            ModelId::Uri => 0,
-            ModelId::Template => 1,
-            ModelId::Semantic => 2,
-        }
-    }
-
-    pub fn from_wire_tag(tag: u8) -> Option<Self> {
-        match tag {
-            0 => Some(ModelId::Uri),
-            1 => Some(ModelId::Template),
-            2 => Some(ModelId::Semantic),
-            _ => None,
-        }
+        self as u8
     }
 }
 
@@ -396,63 +385,16 @@ impl DiscoveryMessage {
         Self::new(Operation::Querying(op))
     }
 
-    /// Short label for traffic accounting.
+    /// Short label for traffic accounting: the kind column of the codec's
+    /// operation table.
     pub fn kind(&self) -> &'static str {
-        match &self.op {
-            Operation::Maintenance(m) => match m {
-                MaintenanceOp::RegistryProbe => "probe",
-                MaintenanceOp::RegistryProbeReply { .. } => "probe-reply",
-                MaintenanceOp::RegistryBeacon { .. } => "beacon",
-                MaintenanceOp::Ping => "ping",
-                MaintenanceOp::Pong => "pong",
-                MaintenanceOp::RegistryListRequest { .. } => "reglist-req",
-                MaintenanceOp::RegistryList { .. } => "reglist",
-                MaintenanceOp::FederationJoin { .. } => "fed-join",
-                MaintenanceOp::FederationAck { .. } => "fed-ack",
-                MaintenanceOp::SummaryAdvert { .. } => "summary",
-                MaintenanceOp::ArtifactRequest { .. } => "artifact-req",
-                MaintenanceOp::ArtifactResponse { .. } => "artifact-resp",
-                MaintenanceOp::SyncDigest { .. } => "sync-digest",
-                MaintenanceOp::SyncDelta { .. } => "sync-delta",
-                MaintenanceOp::SyncAck { .. } => "sync-ack",
-                MaintenanceOp::Busy { .. } => "busy",
-            },
-            Operation::Publishing(p) => match p {
-                PublishOp::Publish { .. } => "publish",
-                PublishOp::PublishAck { .. } => "publish-ack",
-                PublishOp::RenewLease { .. } => "renew",
-                PublishOp::RenewAck { .. } => "renew-ack",
-                PublishOp::PublishNack { .. } => "publish-nack",
-                PublishOp::Remove { .. } => "remove",
-                PublishOp::Update { .. } => "update",
-                PublishOp::ForwardAdverts { .. } => "fwd-adverts",
-            },
-            Operation::Querying(q) => match q {
-                QueryOp::Query(_) => "query",
-                QueryOp::QueryRetry { .. } => "query-retry",
-                QueryOp::QueryResponse { .. } => "query-response",
-                QueryOp::Subscribe { .. } => "subscribe",
-                QueryOp::SubscribeAck { .. } => "subscribe-ack",
-                QueryOp::Unsubscribe { .. } => "unsubscribe",
-                QueryOp::Notify { .. } => "notify",
-                QueryOp::ComposeRequest { .. } => "compose-req",
-                QueryOp::ComposeResponse { .. } => "compose-resp",
-            },
-        }
+        self.op.kind()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn model_id_wire_tags_round_trip() {
-        for m in ModelId::ALL {
-            assert_eq!(ModelId::from_wire_tag(m.wire_tag()), Some(m));
-        }
-        assert_eq!(ModelId::from_wire_tag(7), None);
-    }
 
     #[test]
     fn template_matching_semantics() {

@@ -246,6 +246,7 @@ fn every_message_round_trips() {
     Checker::new("every_message_round_trips").cases(256).run(|rng| {
         let msg = arb_message(rng);
         let bytes = codec::encode(&msg);
+        assert_eq!(bytes.capacity(), bytes.len(), "one allocation, sized exactly");
         let back = codec::decode(&bytes).expect("decode what we encoded");
         assert_eq!(back, msg);
     });
