@@ -66,7 +66,7 @@ type R<T> = Result<T, DecodeError>;
 /// input past it, and `wire_len` is exactly the number of bytes `put`
 /// writes. The methods are `#[inline]` throughout: a frame is one nest of
 /// these calls, and out of line the query decode and response encode
-/// microbenchmarks run 20–40 % slower.
+/// microbenchmarks ran 13–45 % slower (EXPERIMENTS.md B6).
 trait Wire: Sized {
     fn put(&self, buf: &mut Vec<u8>);
     fn get(r: &mut &[u8]) -> R<Self>;
@@ -183,9 +183,7 @@ impl<T: Wire> Wire for Option<T> {
     #[inline]
     fn put(&self, buf: &mut Vec<u8>) {
         self.is_some().put(buf);
-        if let Some(v) = self {
-            v.put(buf);
-        }
+        self.iter().for_each(|v| v.put(buf));
     }
     #[inline]
     fn get(r: &mut &[u8]) -> R<Self> {
@@ -532,7 +530,6 @@ wire_enums! {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sds_semantic::QosKey;
 
     fn rt(msg: DiscoveryMessage) {
         let bytes = encode(&msg);

@@ -385,8 +385,7 @@ impl DiscoveryMessage {
         Self::new(Operation::Querying(op))
     }
 
-    /// Short label for traffic accounting: the kind column of the codec's
-    /// operation table.
+    /// Short label for traffic accounting (the codec table's `as` column).
     pub fn kind(&self) -> &'static str {
         self.op.kind()
     }
