@@ -31,11 +31,12 @@ if [ "$undeclared" -ne 1 ]; then
   echo "bench_compare: the pr27 pair without its declared list exited $undeclared, not 1" >&2
   exit 1
 fi
-# The two newest pairs declare nothing: encoding each advert once, and O(1)
-# seen-id expiry with the one hasher, move host time only, so every frame
-# and count must compare equal as recorded.
+# The three newest pairs declare nothing: encoding each advert once, O(1)
+# seen-id expiry with the one hasher, and the codec as one table move host
+# time only, so every frame and count must compare equal as recorded.
 scripts/bench_compare.sh bench-results/febda56.results bench-results/pr29.results > /dev/null
 scripts/bench_compare.sh bench-results/b7be2f0.results bench-results/pr33.results > /dev/null
+scripts/bench_compare.sh bench-results/5669012.results bench-results/pr34.results > /dev/null
 
 # Bounded chaos soak (quick mode): fixed 8-seed sweep of combined churn +
 # fault injection with post-heal convergence invariants. Deterministic, so
