@@ -1,7 +1,7 @@
 //! Shared helpers: timer tags and message sending.
 
 use sds_protocol::{Codec, DiscoveryMessage};
-use sds_simnet::{Ctx, Destination};
+use sds_simnet::{Ctx, Destination, NodeId};
 
 /// Timer tag namespace. Fixed tags identify periodic duties; `*_BASE` tags
 /// carry a per-entity sequence number in the low bits.
@@ -77,6 +77,19 @@ pub(crate) fn send_msg(
     let bytes = codec.message_size(&msg);
     let kind = msg.kind();
     ctx.send(dest, msg, bytes, kind);
+}
+
+/// [`send_msg`] to every node of `to`, in order: the message is sized once
+/// and every receiver gets the same shared payload.
+pub(crate) fn send_fanout_msg(
+    ctx: &mut Ctx<'_, DiscoveryMessage>,
+    codec: Codec,
+    to: impl IntoIterator<Item = NodeId>,
+    msg: DiscoveryMessage,
+) {
+    let bytes = codec.message_size(&msg);
+    let kind = msg.kind();
+    ctx.send_fanout(to, msg, bytes, kind);
 }
 
 #[cfg(test)]

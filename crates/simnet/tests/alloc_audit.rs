@@ -9,15 +9,20 @@
 //!   performs **zero** allocations per event once warm;
 //! * a unicast ping-pong storm allocates at most the one `Rc` payload box
 //!   per send (plus a small per-`run_until` constant for the stats
-//!   refresh) — delivery, dispatch, and timer bookkeeping add nothing.
+//!   refresh) — delivery, dispatch, and timer bookkeeping add nothing;
+//! * a k-destination fan-out allocates exactly one payload box, whatever k
+//!   is, while the same traffic sent as k plain unicasts still allocates at
+//!   most one box per send.
 //!
-//! Both phases live in one `#[test]` because the counter is process-global
+//! All phases live in one `#[test]` because the counter is process-global
 //! and the libtest harness runs separate tests on concurrent threads.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use sds_simnet::{Ctx, Destination, NodeHandler, NodeId, Sim, SimConfig, TimerId, Topology};
+use sds_simnet::{
+    Ctx, Destination, LanId, NodeHandler, NodeId, Sim, SimConfig, TimerId, Topology,
+};
 
 struct CountingAlloc;
 
@@ -86,6 +91,55 @@ impl NodeHandler<u64> for Kick {
     fn on_message(&mut self, ctx: &mut Ctx<'_, u64>, from: NodeId, msg: u64) {
         ctx.send(Destination::Unicast(from), msg + 1, 64, "ping");
     }
+}
+
+/// Every tick, sends one payload to each of `sinks`: as one fan-out, or as
+/// one plain unicast per sink.
+struct Fan {
+    sinks: Vec<NodeId>,
+    fanout: bool,
+    rounds: u64,
+}
+
+impl NodeHandler<u64> for Fan {
+    fn on_start(&mut self, ctx: &mut Ctx<'_, u64>) {
+        ctx.set_timer(1, 0);
+    }
+    fn on_timer(&mut self, ctx: &mut Ctx<'_, u64>, _t: TimerId, _tag: u64) {
+        self.rounds += 1;
+        if self.fanout {
+            ctx.send_fanout(self.sinks.iter().copied(), self.rounds, 64, "fan");
+        } else {
+            for &to in &self.sinks {
+                ctx.send(Destination::Unicast(to), self.rounds, 64, "fan");
+            }
+        }
+        ctx.set_timer(1, 0);
+    }
+}
+
+/// Receives and drops everything (the default handler).
+struct Sink;
+
+impl NodeHandler<u64> for Sink {}
+
+/// A warm fan-out world of `k` sinks: returns the allocations, rounds and
+/// sends of 10 000 measured ticks.
+fn fan_storm(k: usize, fanout: bool) -> (u64, u64, u64) {
+    let mut topo = Topology::new();
+    let lan: LanId = topo.add_lan();
+    let mut sim: Sim<u64> = Sim::new(quiet_net(), topo, 44);
+    let sinks: Vec<NodeId> = (0..k).map(|_| sim.add_node(lan, Box::new(Sink))).collect();
+    let fan = sim.add_node(lan, Box::new(Fan { sinks, fanout, rounds: 0 }));
+    // Two full wheel wraps: every bucket the one-tick period visits is warm.
+    sim.run_until(10_000);
+    let rounds_before = sim.handler::<Fan>(fan).unwrap().rounds;
+    let sent_before = sim.stats().total_messages();
+    let before = allocations();
+    sim.run_until(20_000);
+    let allocs = allocations() - before;
+    let rounds = sim.handler::<Fan>(fan).unwrap().rounds - rounds_before;
+    (allocs, rounds, sim.stats().total_messages() - sent_before)
 }
 
 fn quiet_net() -> SimConfig {
@@ -158,4 +212,27 @@ fn steady_state_hot_loop_does_not_allocate() {
         storm_allocs <= sent + 16,
         "storm allocated {storm_allocs} times over {sent} sends (> 1/send + slack)"
     );
+
+    // ---- Phase 3: one payload box per fan-out, whatever its width. ----
+    let (one, rounds, sent) = fan_storm(1, true);
+    assert_eq!((rounds, sent), (10_000, 10_000), "workload is real");
+    // One box per fan-out plus the per-call stats-refresh constant.
+    assert!(
+        (rounds..=rounds + 16).contains(&one),
+        "a 1-destination fan-out allocated {one} times over {rounds} fan-outs"
+    );
+    for k in [4, 32] {
+        let (allocs, rounds, sent) = fan_storm(k, true);
+        assert_eq!(sent, rounds * k as u64, "every destination is sent to");
+        assert_eq!(
+            allocs, one,
+            "{k}-destination fan-outs allocated {allocs} times, 1-destination ones {one}"
+        );
+        // The same traffic as plain unicasts: at most one box per send.
+        let (allocs, _, sent) = fan_storm(k, false);
+        assert!(
+            allocs <= sent + 16,
+            "{k} unicasts per tick allocated {allocs} times over {sent} sends"
+        );
+    }
 }
