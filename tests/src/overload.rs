@@ -45,6 +45,12 @@ pub struct OverloadSoakOutcome {
 }
 
 pub fn run_overload_soak(seed: u64) -> OverloadSoakOutcome {
+    soak(seed).0
+}
+
+/// One seed's soak, returning the finished scenario beside its outcome so
+/// the per-client transcripts can be read back.
+fn soak(seed: u64) -> (OverloadSoakOutcome, Scenario) {
     let mut cfg = ScenarioConfig {
         lans: 3,
         clients_per_lan: 30,
@@ -169,5 +175,63 @@ pub fn run_overload_soak(seed: u64) -> OverloadSoakOutcome {
         net.capacity_dropped_messages,
         net.capacity_deferred_messages,
     );
-    OverloadSoakOutcome { report, fingerprint }
+    (OverloadSoakOutcome { report, fingerprint }, s)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
+        for &b in bytes {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        h
+    }
+
+    /// Every client's completed queries, in completion order, folded with
+    /// the soak's fingerprint: what each query finished with, when, and
+    /// after how many retries and nacks, down to its ranked hit ids.
+    fn transcript_digest(seed: u64) -> u64 {
+        let (outcome, s) = soak(seed);
+        let mut h = fnv1a(0xcbf2_9ce4_8422_2325, outcome.fingerprint.as_bytes());
+        for ci in 0..s.clients.len() {
+            let completed = s.completed(ci);
+            h = fnv1a(h, &(completed.len() as u64).to_le_bytes());
+            for cq in completed {
+                h = fnv1a(h, &cq.seq.to_le_bytes());
+                h = fnv1a(h, &cq.finished_at.to_le_bytes());
+                h = fnv1a(h, &cq.first_response_at.map_or(u64::MAX, |t| t).to_le_bytes());
+                h = fnv1a(h, &cq.responses_received.to_le_bytes());
+                h = fnv1a(h, &[cq.retries]);
+                h = fnv1a(h, &cq.busy_nacks.to_le_bytes());
+                h = fnv1a(h, &(cq.hits.len() as u64).to_le_bytes());
+                for hit in &cq.hits {
+                    h = fnv1a(h, &hit.advert.id.0.to_le_bytes());
+                }
+            }
+        }
+        h
+    }
+
+    /// The client retry clock under a storm of `Busy` nacks, pinned: a
+    /// change to how checkpoints are armed must leave every send, draw and
+    /// completed query where it was, so these digests must not move.
+    #[test]
+    fn overload_transcripts_are_pinned() {
+        const PINNED: [u64; 8] = [
+            0x1613_a670_3153_15c4,
+            0xadd8_ff0e_dc97_93d8,
+            0xb20e_7345_2e2d_023d,
+            0x9b21_ba1e_b842_0350,
+            0x8fa3_27cf_e674_b9db,
+            0x1087_cc5a_fea5_41e1,
+            0xfd85_c360_5694_fdb7,
+            0xe12c_8456_fab6_d22e,
+        ];
+        let seeds: Vec<u64> = (0..8).collect();
+        let digests = sds_bench::parallel::map(&seeds, |_, &seed| transcript_digest(seed));
+        assert_eq!(digests, PINNED, "a seed's completed queries or fingerprint moved");
+    }
 }
