@@ -62,6 +62,88 @@ struct OutstandingQuery {
     first_response_at: Option<SimTime>,
     /// `Busy` nacks attributed to this query while unanswered.
     busy_nacks: u32,
+    /// Pending checkpoint timers with their fire times, in push order
+    /// (see [`OutstandingQuery::arm`]).
+    checkpoints: Vec<(SimTime, TimerId)>,
+}
+
+impl OutstandingQuery {
+    /// Whether a checkpoint firing now would re-send: the query is
+    /// unanswered and has retries left. A query that stops retrying never
+    /// starts again, and from then on a checkpoint can only arm the
+    /// deadline.
+    fn retrying(&self, max_retries: u8) -> bool {
+        self.responses_received == 0 && self.attempt < max_retries
+    }
+
+    fn deadline_armed(&self) -> bool {
+        self.checkpoints.iter().any(|&(at, _)| at == self.deadline)
+    }
+
+    /// Arms the checkpoint `delay` from now, unless its firing could change
+    /// nothing:
+    /// - past the deadline, it would find the query finalized;
+    /// - at the deadline once a deadline checkpoint is armed, the
+    ///   earlier-pushed one finalizes first;
+    /// - once the query stops retrying, a firing only arms the deadline, so
+    ///   the query keeps just the one checkpoint that arms it first (see
+    ///   [`OutstandingQuery::stop_retrying`]).
+    ///
+    /// Every checkpoint a retrying query arms up to its deadline stays: each
+    /// one re-sends.
+    fn arm(
+        &mut self,
+        ctx: &mut Ctx<'_, DiscoveryMessage>,
+        seq: u64,
+        delay: SimTime,
+        max_retries: u8,
+    ) {
+        let at = ctx.now().saturating_add(delay);
+        let waiting = !self.retrying(max_retries);
+        if at > self.deadline || (at == self.deadline || waiting) && self.deadline_armed() {
+            return;
+        }
+        if waiting {
+            debug_assert!(self.checkpoints.len() <= 1, "a waiting query keeps one checkpoint");
+            if let Some(&(first, id)) = self.checkpoints.first() {
+                // The armed one fires first, or at the same time and pushed
+                // earlier, and arms the deadline before this one could. An
+                // arm at the deadline itself is pushed now, before the
+                // armed one could push its own.
+                if at < self.deadline && at >= first {
+                    return;
+                }
+                ctx.cancel_timer(id);
+                self.checkpoints.clear();
+            }
+        }
+        let id = ctx.set_timer(delay, tags::tagged(tags::QUERY_TIMEOUT_BASE, seq));
+        self.checkpoints.push((at, id));
+    }
+
+    /// The query stopped retrying: keep the checkpoint that arms the
+    /// deadline first (an armed deadline checkpoint, else the first to
+    /// fire, earliest-pushed among equals) and cancel the rest, whose
+    /// firings would only re-arm that deadline.
+    fn stop_retrying(&mut self, ctx: &mut Ctx<'_, DiscoveryMessage>) {
+        if self.checkpoints.len() <= 1 {
+            return;
+        }
+        let deadline = self.deadline;
+        let (keep, _) = self
+            .checkpoints
+            .iter()
+            .enumerate()
+            .min_by_key(|&(_, &(at, _))| (at != deadline, at))
+            .expect("more than one checkpoint");
+        for (i, &(_, id)) in self.checkpoints.iter().enumerate() {
+            if i != keep {
+                ctx.cancel_timer(id);
+            }
+        }
+        self.checkpoints.swap(0, keep);
+        self.checkpoints.truncate(1);
+    }
 }
 
 /// A notification delivered for a standing query.
@@ -173,23 +255,21 @@ impl ClientNode {
         let msg = DiscoveryMessage::querying(QueryOp::Query(query));
         let dispatched = self.dispatch(ctx, msg, options.mode);
         let deadline = ctx.now().saturating_add(options.timeout);
-        self.outstanding.insert(
-            seq,
-            OutstandingQuery {
-                sent_at: ctx.now(),
-                deadline,
-                options,
-                payload: saved_payload,
-                attempt: 0,
-                aliases: Vec::new(),
-                hits: IdMap::default(),
-                responses_received: 0,
-                responders_seen: Vec::new(),
-                dispatched,
-                first_response_at: None,
-                busy_nacks: 0,
-            },
-        );
+        let mut o = OutstandingQuery {
+            sent_at: ctx.now(),
+            deadline,
+            options,
+            payload: saved_payload,
+            attempt: 0,
+            aliases: Vec::new(),
+            hits: IdMap::default(),
+            responses_received: 0,
+            responders_seen: Vec::new(),
+            dispatched,
+            first_response_at: None,
+            busy_nacks: 0,
+            checkpoints: Vec::new(),
+        };
         let delay = if retrying {
             // First backoff checkpoint; the chain walks to the deadline.
             let rng = self.retry_rng.get_or_insert_with(|| ctx.derive_rng("core.client.retry"));
@@ -197,7 +277,8 @@ impl ClientNode {
         } else {
             deadline - ctx.now()
         };
-        ctx.set_timer(delay, tags::tagged(tags::QUERY_TIMEOUT_BASE, seq));
+        o.arm(ctx, seq, delay, self.cfg.retry.max_retries);
+        self.outstanding.insert(seq, o);
         seq
     }
 
@@ -287,9 +368,10 @@ impl ClientNode {
             }
             _ => self.dispatch(ctx, DiscoveryMessage::querying(QueryOp::Query(query)), mode),
         };
-        if sent {
-            if let Some(o) = self.outstanding.get_mut(&root) {
-                o.dispatched = true;
+        if let Some(o) = self.outstanding.get_mut(&root) {
+            o.dispatched |= sent;
+            if !o.retrying(self.cfg.retry.max_retries) {
+                o.stop_retrying(ctx);
             }
         }
         sent
@@ -297,11 +379,15 @@ impl ClientNode {
 
     /// A query checkpoint fired: either the final deadline (finalize), or a
     /// backoff checkpoint — re-send if the query is still unanswered and
-    /// schedule the next checkpoint, clamped to the deadline.
-    fn on_query_checkpoint(&mut self, ctx: &mut Ctx<'_, DiscoveryMessage>, seq: u64) {
-        let Some(o) = self.outstanding.get(&seq) else {
+    /// schedule the next checkpoint, clamped to the deadline. The next
+    /// checkpoint goes through [`OutstandingQuery::arm`], which skips it
+    /// when its firing could change nothing; the backoff's jitter is drawn
+    /// either way, so the retry stream stays where it was.
+    fn on_query_checkpoint(&mut self, ctx: &mut Ctx<'_, DiscoveryMessage>, seq: u64, timer: TimerId) {
+        let Some(o) = self.outstanding.get_mut(&seq) else {
             return;
         };
+        o.checkpoints.retain(|&(_, id)| id != timer);
         let now = ctx.now();
         if now >= o.deadline {
             self.finalize(ctx, seq);
@@ -309,7 +395,7 @@ impl ClientNode {
         }
         let deadline = o.deadline;
         let policy = self.cfg.retry;
-        let next_delay = if o.responses_received == 0 && o.attempt < policy.max_retries {
+        let next_delay = if o.retrying(policy.max_retries) {
             self.redispatch(ctx, seq);
             let attempt = self.outstanding[&seq].attempt;
             let rng = self.retry_rng.get_or_insert_with(|| ctx.derive_rng("core.client.retry"));
@@ -318,7 +404,9 @@ impl ClientNode {
             // Answered, or retries exhausted: just wait out the deadline.
             deadline - now
         };
-        ctx.set_timer(next_delay, tags::tagged(tags::QUERY_TIMEOUT_BASE, seq));
+        if let Some(o) = self.outstanding.get_mut(&seq) {
+            o.arm(ctx, seq, next_delay, policy.max_retries);
+        }
     }
 
     /// Reacts to attachment changes. After a failover re-attach, an
@@ -434,6 +522,12 @@ impl ClientNode {
     /// own stream, clamped defensively); the normal checkpoint machinery
     /// re-sends — and hedges — from there. Without a retry policy the nack
     /// is only recorded and the deadline stands.
+    ///
+    /// [`OutstandingQuery::arm`] drops a checkpoint that could change
+    /// nothing: one past the deadline, or one for a query that has run out
+    /// of retries and already has a checkpoint that arms its deadline
+    /// first. Its jitter is still drawn, for every affected query in seq
+    /// order, so every later draw from the stream stays where it was.
     fn on_busy(&mut self, ctx: &mut Ctx<'_, DiscoveryMessage>, retry_after_ms: u64) {
         self.busy_streak = self.busy_streak.saturating_add(1);
         self.busy_nacks_total += 1;
@@ -459,10 +553,13 @@ impl ClientNode {
         }
         let hint = retry_after_ms.clamp(1, 30_000);
         let jitter = self.cfg.retry.jitter;
+        let max_retries = self.cfg.retry.max_retries;
         let rng = self.retry_rng.get_or_insert_with(|| ctx.derive_rng("core.client.retry"));
         for seq in affected {
             let extra = if jitter > 0 { rng.gen_range(0..=jitter) } else { 0 };
-            ctx.set_timer(hint + extra, tags::tagged(tags::QUERY_TIMEOUT_BASE, seq));
+            if let Some(o) = self.outstanding.get_mut(&seq) {
+                o.arm(ctx, seq, hint + extra, max_retries);
+            }
         }
     }
 
@@ -494,6 +591,14 @@ impl ClientNode {
 
 impl NodeHandler<DiscoveryMessage> for ClientNode {
     fn on_start(&mut self, ctx: &mut Ctx<'_, DiscoveryMessage>) {
+        // A restart: the outstanding queries' checkpoints died with the
+        // crash, so nothing would ever finalize them. They complete now,
+        // with what they had gathered.
+        let mut stranded: Vec<u64> = self.outstanding.keys().copied().collect();
+        stranded.sort_unstable();
+        for seq in stranded {
+            self.finalize(ctx, seq);
+        }
         self.attach.start(ctx);
     }
 
@@ -540,6 +645,9 @@ impl NodeHandler<DiscoveryMessage> for ClientNode {
                     }
                     o.responders_seen.push(responder);
                     o.responses_received += 1;
+                    if o.responses_received == 1 {
+                        o.stop_retrying(ctx);
+                    }
                     o.first_response_at.get_or_insert(ctx.now());
                     // A counted answer breaks the Busy streak.
                     self.busy_streak = 0;
@@ -559,7 +667,7 @@ impl NodeHandler<DiscoveryMessage> for ClientNode {
         }
     }
 
-    fn on_timer(&mut self, ctx: &mut Ctx<'_, DiscoveryMessage>, _timer: TimerId, tag: u64) {
+    fn on_timer(&mut self, ctx: &mut Ctx<'_, DiscoveryMessage>, timer: TimerId, tag: u64) {
         match tag {
             tags::PROBE => {
                 if let Some(ev) = self.attach.on_probe_timer(ctx) {
@@ -578,7 +686,7 @@ impl NodeHandler<DiscoveryMessage> for ClientNode {
             }
             t => {
                 if let Some(seq) = tags::seq_of(t, tags::QUERY_TIMEOUT_BASE) {
-                    self.on_query_checkpoint(ctx, seq);
+                    self.on_query_checkpoint(ctx, seq, timer);
                 }
             }
         }
@@ -634,5 +742,141 @@ mod tests {
         let c = sim.handler::<ClientNode>(client).unwrap();
         assert_eq!(c.completed.len(), 2);
         assert!(c.alias.is_empty(), "aliases outlive their queries: {:?}", c.alias);
+    }
+
+    /// A lone client (no registry, so nothing answers) issuing `n`
+    /// unicast queries under `retry`.
+    fn unanswered_client(
+        retry: RetryPolicy,
+        n: usize,
+        timeout: SimTime,
+    ) -> (Sim<DiscoveryMessage>, NodeId, Vec<u64>) {
+        let mut topo = Topology::new();
+        let lan = topo.add_lan();
+        let mut sim: Sim<DiscoveryMessage> = Sim::new(SimConfig::default(), topo, 11);
+        let cfg = ClientConfig { retry, ..ClientConfig::default() };
+        let client = sim.add_node(lan, Box::new(ClientNode::new(cfg)));
+        let mut seqs = Vec::new();
+        for _ in 0..n {
+            sim.with_node::<ClientNode>(client, |c, ctx| {
+                let options = QueryOptions { timeout, ..QueryOptions::default() };
+                seqs.push(c.issue_query(ctx, QueryPayload::Uri("urn:svc:x".into()), options));
+            });
+        }
+        (sim, client, seqs)
+    }
+
+    fn busy(sim: &mut Sim<DiscoveryMessage>, client: NodeId, retry_after_ms: u64) {
+        sim.with_node::<ClientNode>(client, |c, ctx| {
+            let nack = DiscoveryMessage::maintenance(MaintenanceOp::Busy { retry_after_ms });
+            c.on_message(ctx, NodeId(u32::MAX), nack);
+        });
+    }
+
+    #[test]
+    fn busy_nacks_after_retries_run_out_arm_no_timers() {
+        // Two quick re-sends, then a long wait for the deadline: every
+        // later nack lands on a query that can only wait.
+        let retry = RetryPolicy { max_retries: 2, base_backoff: 100, max_backoff: 200, jitter: 50 };
+        let n = 8;
+        let (mut sim, client, _) = unanswered_client(retry, n, secs(60));
+        sim.run_until(secs(2));
+        let c = sim.handler::<ClientNode>(client).unwrap();
+        assert!(c.outstanding.values().all(|o| o.attempt == 2), "retries not yet exhausted");
+        for k in 1..=40u64 {
+            busy(&mut sim, client, 1_000 + 100 * k);
+            sim.run_until(secs(2) + 50 * k);
+            let pending = sim.pending_timer_count();
+            assert!(pending <= 2 * n, "{pending} timers pending for {n} queries after {k} nacks");
+        }
+        sim.run_until(secs(61));
+        let c = sim.handler::<ClientNode>(client).unwrap();
+        assert_eq!(c.completed.len(), n);
+        assert!(c.completed.iter().all(|q| q.finished_at == secs(60) && q.busy_nacks == 40));
+    }
+
+    #[test]
+    fn a_waiting_query_keeps_the_checkpoint_that_fires_first() {
+        // Re-sends near 100 and 300 ms exhaust the retries; the checkpoint
+        // armed by the last one fires near 500 ms and would arm the
+        // deadline.
+        let retry = RetryPolicy { max_retries: 2, base_backoff: 100, max_backoff: 200, jitter: 10 };
+        let n = 4;
+        let (mut sim, client, _) = unanswered_client(retry, n, secs(60));
+        sim.run_until(400);
+        let kept = |sim: &Sim<DiscoveryMessage>| -> Vec<Vec<(SimTime, TimerId)>> {
+            let c = sim.handler::<ClientNode>(client).unwrap();
+            let mut seqs: Vec<u64> = c.outstanding.keys().copied().collect();
+            seqs.sort_unstable();
+            seqs.iter().map(|s| c.outstanding[s].checkpoints.clone()).collect()
+        };
+        let before = kept(&sim);
+        assert!(before.iter().all(|cps| cps.len() == 1 && cps[0].0 >= 500), "{before:?}");
+
+        // A later nack's checkpoint would fire after the kept one: skipped.
+        busy(&mut sim, client, 30_000);
+        assert_eq!(kept(&sim), before);
+        // One that fires first replaces it.
+        busy(&mut sim, client, 1);
+        let after = kept(&sim);
+        for cps in &after {
+            assert_eq!(cps.len(), 1);
+            assert!((401..=411).contains(&cps[0].0), "{after:?}");
+        }
+    }
+
+    #[test]
+    fn a_skipped_busy_checkpoint_still_draws_its_jitter() {
+        let retry = RetryPolicy { max_retries: 1, base_backoff: 100, max_backoff: 100, jitter: 50 };
+        let n = 3;
+        let (mut sim, client, _) = unanswered_client(retry, n, secs(10));
+        sim.run_until(secs(1));
+        let mut expected = sim.handler::<ClientNode>(client).unwrap().retry_rng.clone().unwrap();
+        let pending = sim.pending_timer_count();
+        // Past every deadline: no checkpoint is armed, every draw is made.
+        busy(&mut sim, client, 20_000);
+        assert_eq!(sim.pending_timer_count(), pending);
+        for _ in 0..n {
+            expected.gen_range(0..=50u64);
+        }
+        assert_eq!(sim.handler::<ClientNode>(client).unwrap().retry_rng, Some(expected));
+    }
+
+    #[test]
+    fn a_restarted_client_completes_its_stranded_queries_once() {
+        let (mut sim, client, mut seqs) = unanswered_client(RetryPolicy::standard(), 4, secs(20));
+        sim.run_until(secs(1));
+        busy(&mut sim, client, 300);
+        sim.with_node::<ClientNode>(client, |c, ctx| {
+            // Issued after the nack: outstanding at the crash, never nacked.
+            let options = QueryOptions { timeout: secs(20), ..QueryOptions::default() };
+            seqs.push(c.issue_query(ctx, QueryPayload::Uri("urn:svc:y".into()), options));
+        });
+        sim.run_until(secs(2));
+        let c = sim.handler::<ClientNode>(client).unwrap();
+        assert_eq!(c.outstanding.len(), seqs.len());
+        assert!(!c.alias.is_empty(), "the queries were retried before the crash");
+        assert!(c.outstanding.values().any(|o| o.busy_nacks > 0));
+
+        sim.crash_node(client);
+        sim.run_until(secs(5));
+        sim.revive_node(client);
+        let c = sim.handler::<ClientNode>(client).unwrap();
+        assert!(c.outstanding.is_empty(), "queries outlive the restart");
+        assert!(c.alias.is_empty(), "aliases outlive the restart: {:?}", c.alias);
+        assert!(c.completed.iter().all(|q| q.finished_at == secs(5)));
+
+        // A query issued after the restart completes at its own deadline.
+        sim.with_node::<ClientNode>(client, |c, ctx| {
+            let options = QueryOptions { timeout: secs(3), ..QueryOptions::default() };
+            seqs.push(c.issue_query(ctx, QueryPayload::Uri("urn:svc:z".into()), options));
+        });
+        sim.run_until(secs(30));
+        let c = sim.handler::<ClientNode>(client).unwrap();
+        let mut done: Vec<u64> = c.completed.iter().map(|q| q.seq).collect();
+        done.sort_unstable();
+        assert_eq!(done, seqs, "each issued query completes exactly once");
+        assert_eq!(c.completed.last().unwrap().finished_at, secs(8));
+        assert!(c.outstanding.is_empty() && c.alias.is_empty());
     }
 }

@@ -480,86 +480,72 @@ impl RegistryNode {
         }
     }
 
-    /// Registry-network targets for a fresh adoption, per strategy. Each
-    /// entry is `(peer, ttl-for-that-branch)`.
+    /// Registry-network targets for a fresh adoption, per strategy. Every
+    /// branch carries `remaining_ttl - 1`.
     fn forward_targets(
         &mut self,
         ctx: &mut Ctx<'_, DiscoveryMessage>,
         remaining_ttl: u8,
-        exclude: Option<NodeId>,
-    ) -> Vec<(NodeId, u8)> {
-        if remaining_ttl == 0 {
+    ) -> Vec<NodeId> {
+        if remaining_ttl == 0 || matches!(self.cfg.strategy, ForwardStrategy::None) {
             return Vec::new();
         }
-        let peers: Vec<NodeId> =
-            self.peers.keys().copied().filter(|&p| Some(p) != exclude).collect();
-        if peers.is_empty() {
-            return Vec::new();
-        }
-        match &self.cfg.strategy {
-            ForwardStrategy::None => Vec::new(),
-            ForwardStrategy::Flood { .. } | ForwardStrategy::ExpandingRing { .. } => {
-                peers.into_iter().map(|p| (p, remaining_ttl - 1)).collect()
-            }
-            ForwardStrategy::RandomWalk { walkers, .. } => {
-                let mut chosen = peers;
-                ctx.rng().shuffle(&mut chosen);
-                chosen.truncate(*walkers as usize);
-                chosen.into_iter().map(|p| (p, remaining_ttl - 1)).collect()
+        let mut peers: Vec<NodeId> = self.peers.keys().copied().collect();
+        if let ForwardStrategy::RandomWalk { walkers, .. } = &self.cfg.strategy {
+            if !peers.is_empty() {
+                ctx.rng().shuffle(&mut peers);
+                peers.truncate(*walkers as usize);
             }
         }
+        peers
     }
 
-    /// Continuation targets for a query this registry did NOT adopt.
+    /// Continuation targets for a query this registry did NOT adopt. Every
+    /// branch carries `remaining_ttl - 1`.
     fn relay_targets(
         &mut self,
         ctx: &mut Ctx<'_, DiscoveryMessage>,
         remaining_ttl: u8,
         from: NodeId,
-    ) -> Vec<(NodeId, u8)> {
-        if remaining_ttl == 0 {
+    ) -> Vec<NodeId> {
+        if remaining_ttl == 0 || matches!(self.cfg.strategy, ForwardStrategy::None) {
             return Vec::new();
         }
-        let peers: Vec<NodeId> =
+        let mut peers: Vec<NodeId> =
             self.peers.keys().copied().filter(|&p| p != from).collect();
-        if peers.is_empty() {
-            return Vec::new();
+        if matches!(self.cfg.strategy, ForwardStrategy::RandomWalk { .. }) && !peers.is_empty() {
+            // A walk continues through exactly one random neighbour.
+            let &next = ctx.rng().choose(&peers).expect("non-empty");
+            peers.clear();
+            peers.push(next);
         }
-        match &self.cfg.strategy {
-            ForwardStrategy::None => Vec::new(),
-            ForwardStrategy::Flood { .. } | ForwardStrategy::ExpandingRing { .. } => {
-                peers.into_iter().map(|p| (p, remaining_ttl - 1)).collect()
-            }
-            ForwardStrategy::RandomWalk { .. } => {
-                // A walk continues through exactly one random neighbour.
-                let &next = ctx.rng().choose(&peers).expect("non-empty");
-                vec![(next, remaining_ttl - 1)]
-            }
-        }
+        peers
     }
 
-    /// Forwards `query` to `targets` in order. Each run of consecutive
-    /// targets with one TTL is one fan-out: the forwarded message is built
-    /// and sized once and every peer of the run receives the same payload.
+    /// Forwards `query` to every peer of `targets` with one TTL: one
+    /// fan-out, so the forwarded message is built and sized once and every
+    /// peer receives the same payload.
     fn send_forwards(
         &mut self,
         ctx: &mut Ctx<'_, DiscoveryMessage>,
         query: &QueryMessage,
-        targets: Vec<(NodeId, u8)>,
+        targets: &[NodeId],
+        ttl: u8,
         reply_to: NodeId,
     ) {
-        for run in targets.chunk_by(|a, b| a.1 == b.1) {
-            let mut fwd = query.clone();
-            fwd.ttl = run[0].1;
-            fwd.reply_to = Some(reply_to);
-            self.stats.forwards_sent += run.len() as u64;
-            send_fanout_msg(
-                ctx,
-                self.cfg.codec,
-                run.iter().map(|&(peer, _)| peer),
-                DiscoveryMessage::querying(QueryOp::Query(fwd)),
-            );
+        if targets.is_empty() {
+            return;
         }
+        let mut fwd = query.clone();
+        fwd.ttl = ttl;
+        fwd.reply_to = Some(reply_to);
+        self.stats.forwards_sent += targets.len() as u64;
+        send_fanout_msg(
+            ctx,
+            self.cfg.codec,
+            targets.iter().copied(),
+            DiscoveryMessage::querying(QueryOp::Query(fwd)),
+        );
     }
 
     /// Initial TTL for an adopted query: the client's requested TTL, capped
@@ -691,14 +677,14 @@ impl RegistryNode {
 
         let i_am_gateway = self.is_gateway(ctx);
         let ttl = self.adoption_ttl(query.ttl, 0);
-        let targets = if i_am_gateway {
-            self.forward_targets(ctx, ttl, None)
+        let (targets, fwd_ttl) = if i_am_gateway {
+            (self.forward_targets(ctx, ttl), ttl.saturating_sub(1))
         } else {
             // Delegate WAN forwarding to the elected gateway (full TTL: the
             // local hop does not spend registry-network budget).
             match self.local_gateway(ctx) {
-                Some(gw) if gw != ctx.node() && ttl > 0 => vec![(gw, ttl)],
-                _ => Vec::new(),
+                Some(gw) if gw != ctx.node() && ttl > 0 => (vec![gw], ttl),
+                _ => (Vec::new(), 0),
             }
         };
         // Stale band: keep the query off the federation even on a cache
@@ -745,7 +731,7 @@ impl RegistryNode {
         }
         self.pending_by_alias.insert(query.id, seq);
         self.pending.insert(seq, pending);
-        self.send_forwards(ctx, &query, targets, ctx.node());
+        self.send_forwards(ctx, &query, &targets, fwd_ttl, ctx.node());
         ctx.set_timer(self.cfg.response_window, tags::AGG_BASE + seq);
     }
 
@@ -773,7 +759,7 @@ impl RegistryNode {
             );
         }
         let targets = self.relay_targets(ctx, query.ttl, from);
-        self.send_forwards(ctx, query, targets, aggregator);
+        self.send_forwards(ctx, query, &targets, query.ttl.saturating_sub(1), aggregator);
     }
 
     /// Finalizes a pending aggregation: rank, apply response control, reply.
@@ -795,9 +781,9 @@ impl RegistryNode {
                     p.aliases.push(rewritten);
                     self.pending_by_alias.insert(rewritten, seq);
                     let ttl = self.adoption_ttl(q.ttl.max(1), round);
-                    let targets = self.forward_targets(ctx, ttl, None);
+                    let targets = self.forward_targets(ctx, ttl);
                     if !targets.is_empty() {
-                        self.send_forwards(ctx, &q, targets, ctx.node());
+                        self.send_forwards(ctx, &q, &targets, ttl - 1, ctx.node());
                         ctx.set_timer(self.cfg.response_window, tags::AGG_BASE + seq);
                         return;
                     }

@@ -39,6 +39,12 @@ scripts/bench_compare.sh bench-results/febda56.results bench-results/pr29.result
 scripts/bench_compare.sh bench-results/b7be2f0.results bench-results/pr33.results > /dev/null
 scripts/bench_compare.sh bench-results/5669012.results bench-results/pr34.results > /dev/null
 scripts/bench_compare.sh bench-results/568a756.results bench-results/pr35.results > /dev/null
+# Arming only the client retry checkpoints that can still act removes events
+# and queued timers on flash_crowd and moves nothing else, on both seeds.
+scripts/bench_compare.sh bench-results/7b0e6ff.results bench-results/pr36.results \
+  bench-results/pr36.declared > /dev/null
+scripts/bench_compare.sh bench-results/7b0e6ff-seed7331.results \
+  bench-results/pr36-seed7331.results bench-results/pr36.declared > /dev/null
 
 # Bounded chaos soak (quick mode): fixed 8-seed sweep of combined churn +
 # fault injection with post-heal convergence invariants. Deterministic, so
