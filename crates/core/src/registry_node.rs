@@ -1849,4 +1849,136 @@ mod tests {
         }
         assert_eq!(books[0], books[1], "the shared and the owned path disagree");
     }
+
+    /// Records the ids of every query answer it receives.
+    #[derive(Default)]
+    struct Sink {
+        answers: Vec<(QueryId, Vec<Uuid>)>,
+    }
+
+    impl NodeHandler<DiscoveryMessage> for Sink {
+        fn on_message(&mut self, _: &mut Ctx<'_, DiscoveryMessage>, _: NodeId, msg: DiscoveryMessage) {
+            if let Operation::Querying(QueryOp::QueryResponse { query_id, hits, .. }) = msg.op {
+                self.answers.push((query_id, hits.iter().map(|h| h.advert.id).collect()));
+            }
+        }
+    }
+
+    /// A default-configured registry (query cache on, purge every second)
+    /// with two sinks on its LAN: one that publishes and asks, and one that
+    /// plays a federation peer.
+    struct Coherence {
+        sim: Sim<DiscoveryMessage>,
+        registry: NodeId,
+        client: NodeId,
+        peer: NodeId,
+        next_seq: u64,
+    }
+
+    const ADVERT: Uuid = Uuid(0xAD);
+
+    impl Coherence {
+        fn new() -> Self {
+            let mut topo = Topology::new();
+            let lan = topo.add_lan();
+            let mut sim = Sim::new(SimConfig::default(), topo, 1);
+            let registry = sim.add_node(lan, Box::new(RegistryNode::new(RegistryConfig::default(), None)));
+            let client = sim.add_node(lan, Box::new(Sink::default()));
+            let peer = sim.add_node(lan, Box::new(Sink::default()));
+            Self { sim, registry, client, peer, next_seq: 0 }
+        }
+
+        fn advert(&self, uri: &str, version: u32) -> SharedAdvert {
+            SharedAdvert::from(Advertisement {
+                id: ADVERT,
+                provider: self.client,
+                description: Description::Uri(uri.into()),
+                version,
+            })
+        }
+
+        /// Delivers `msg` from `from` at sim time `at`.
+        fn deliver_at(&mut self, at: SimTime, from: NodeId, msg: DiscoveryMessage) {
+            self.sim.run_until(at);
+            self.sim.with_node::<RegistryNode>(self.registry, |reg, ctx| reg.on_message(ctx, from, msg));
+        }
+
+        fn publish_at(&mut self, at: SimTime, op: PublishOp) {
+            let client = self.client;
+            self.deliver_at(at, client, DiscoveryMessage::publishing(op));
+        }
+
+        /// Asks the client's next URI query at `at` and returns the ids the
+        /// registry answered with.
+        fn ask_at(&mut self, at: SimTime, uri: &str) -> Vec<Uuid> {
+            self.next_seq += 1;
+            let id = QueryId { origin: self.client, seq: self.next_seq };
+            let q = QueryMessage {
+                id,
+                payload: QueryPayload::Uri(uri.into()),
+                max_responses: None,
+                ttl: 0,
+                reply_to: None,
+            };
+            let client = self.client;
+            self.deliver_at(at, client, DiscoveryMessage::querying(QueryOp::Query(q)));
+            self.sim.run_until(at + 50);
+            let sink = self.sim.handler::<Sink>(self.client).expect("sink");
+            let (answered, hits) = sink.answers.last().expect("an answer");
+            assert_eq!(*answered, id, "the registry answered another query");
+            hits.clone()
+        }
+    }
+
+    #[test]
+    fn a_renewal_that_revives_an_expired_advert_reaches_the_next_answer() {
+        let mut w = Coherence::new();
+        let advert = w.advert("urn:svc:printer", 1);
+        // Lease 100..1_100; the purge ticks at 1_000 and 2_000 leave it
+        // expired but stored between 1_100 and 2_000.
+        w.publish_at(100, PublishOp::Publish { advert, lease_ms: 1_000 });
+        assert_eq!(w.ask_at(200, "urn:svc:printer"), vec![ADVERT]);
+        assert_eq!(w.ask_at(1_200, "urn:svc:printer"), Vec::<Uuid>::new());
+        w.publish_at(1_300, PublishOp::RenewLease { id: ADVERT });
+        assert_eq!(w.ask_at(1_400, "urn:svc:printer"), vec![ADVERT]);
+    }
+
+    #[test]
+    fn a_sync_delta_that_revives_a_replica_reaches_the_next_answer() {
+        let mut w = Coherence::new();
+        let advert = w.advert("urn:svc:printer", 1);
+        let peer = w.peer;
+        let full = SyncEntry::Full { advert, lease_until: 1_100 };
+        let op = MaintenanceOp::SyncDelta { buckets: Vec::new(), entries: vec![full] };
+        w.deliver_at(100, peer, DiscoveryMessage::maintenance(op));
+        assert_eq!(w.ask_at(200, "urn:svc:printer"), vec![ADVERT]);
+        assert_eq!(w.ask_at(1_200, "urn:svc:printer"), Vec::<Uuid>::new());
+        let delta = SyncEntry::Delta { id: ADVERT, version: 1, lease_until: 2_300 };
+        let op = MaintenanceOp::SyncDelta { buckets: Vec::new(), entries: vec![delta] };
+        w.deliver_at(1_300, peer, DiscoveryMessage::maintenance(op));
+        assert_eq!(w.ask_at(1_400, "urn:svc:printer"), vec![ADVERT]);
+    }
+
+    #[test]
+    fn removing_a_live_advert_reaches_the_next_answer() {
+        let mut w = Coherence::new();
+        let advert = w.advert("urn:svc:printer", 1);
+        w.publish_at(100, PublishOp::Publish { advert, lease_ms: 10_000 });
+        assert_eq!(w.ask_at(200, "urn:svc:printer"), vec![ADVERT]);
+        w.publish_at(300, PublishOp::Remove { id: ADVERT });
+        assert_eq!(w.ask_at(400, "urn:svc:printer"), Vec::<Uuid>::new());
+    }
+
+    #[test]
+    fn an_update_that_changes_content_reaches_the_next_answers() {
+        let mut w = Coherence::new();
+        let advert = w.advert("urn:svc:printer", 1);
+        w.publish_at(100, PublishOp::Publish { advert, lease_ms: 10_000 });
+        assert_eq!(w.ask_at(200, "urn:svc:printer"), vec![ADVERT]);
+        assert_eq!(w.ask_at(250, "urn:svc:scanner"), Vec::<Uuid>::new());
+        let advert = w.advert("urn:svc:scanner", 2);
+        w.publish_at(300, PublishOp::Update { advert, lease_ms: 10_000 });
+        assert_eq!(w.ask_at(400, "urn:svc:printer"), Vec::<Uuid>::new());
+        assert_eq!(w.ask_at(450, "urn:svc:scanner"), vec![ADVERT]);
+    }
 }

@@ -44,13 +44,19 @@ pub struct OverloadSoakOutcome {
     pub fingerprint: String,
 }
 
+/// Generous retry budget: up to 6 re-sends spread over ~9 s, so even a
+/// storm-start nack has post-storm calm left to land in.
+const RETRY: RetryPolicy =
+    RetryPolicy { max_retries: 6, base_backoff: 400, max_backoff: secs(2), jitter: 250 };
+
 pub fn run_overload_soak(seed: u64) -> OverloadSoakOutcome {
-    soak(seed).0
+    soak(seed, RETRY).0
 }
 
-/// One seed's soak, returning the finished scenario beside its outcome so
-/// the per-client transcripts can be read back.
-fn soak(seed: u64) -> (OverloadSoakOutcome, Scenario) {
+/// One seed's soak under the clients' `retry` policy, returning the
+/// finished scenario beside its outcome so the per-client transcripts can be
+/// read back.
+fn soak(seed: u64, retry: RetryPolicy) -> (OverloadSoakOutcome, Scenario) {
     let mut cfg = ScenarioConfig {
         lans: 3,
         clients_per_lan: 30,
@@ -65,14 +71,7 @@ fn soak(seed: u64) -> (OverloadSoakOutcome, Scenario) {
         seed,
         partition: PartitionPlan::PerLan,
         workers: 2,
-        // Generous retry budget: up to 6 re-sends spread over ~9 s, so even
-        // a storm-start nack has post-storm calm left to land in.
-        retry: Some(RetryPolicy {
-            max_retries: 6,
-            base_backoff: 400,
-            max_backoff: secs(2),
-            jitter: 250,
-        }),
+        retry: Some(retry),
         ..Default::default()
     };
     cfg.registry.overload = OverloadPolicy {
@@ -193,8 +192,8 @@ mod tests {
     /// Every client's completed queries, in completion order, folded with
     /// the soak's fingerprint: what each query finished with, when, and
     /// after how many retries and nacks, down to its ranked hit ids.
-    fn transcript_digest(seed: u64) -> u64 {
-        let (outcome, s) = soak(seed);
+    fn transcript_digest(seed: u64, retry: RetryPolicy) -> u64 {
+        let (outcome, s) = soak(seed, retry);
         let mut h = fnv1a(0xcbf2_9ce4_8422_2325, outcome.fingerprint.as_bytes());
         for ci in 0..s.clients.len() {
             let completed = s.completed(ci);
@@ -231,7 +230,31 @@ mod tests {
             0xe12c_8456_fab6_d22e,
         ];
         let seeds: Vec<u64> = (0..8).collect();
-        let digests = sds_bench::parallel::map(&seeds, |_, &seed| transcript_digest(seed));
+        let digests = sds_bench::parallel::map(&seeds, |_, &seed| transcript_digest(seed, RETRY));
+        assert_eq!(digests, PINNED, "a seed's completed queries or fingerprint moved");
+    }
+
+    /// The same storms under a retry budget the storm outlasts: one re-send
+    /// after 200 ms, so the registries keep nacking queries that have no
+    /// retry left, and how a client treats those nacks (its jitter draws
+    /// included) is pinned too. Only the digest is asserted: with no budget
+    /// left, a nacked query may legitimately end unanswered.
+    #[test]
+    fn overload_transcripts_with_exhausted_retries_are_pinned() {
+        const TIGHT: RetryPolicy =
+            RetryPolicy { max_retries: 1, base_backoff: 200, max_backoff: 400, jitter: 250 };
+        const PINNED: [u64; 8] = [
+            0xab2f_6091_40cb_fd52,
+            0xc3ca_e423_2648_8029,
+            0x54cf_39b8_f06a_be7c,
+            0xc7f1_4a4a_d3fd_d6dc,
+            0xc214_ecf4_0b6a_34c2,
+            0x901d_2235_0c84_c1d0,
+            0x77db_f19c_f418_3564,
+            0x4fed_b9a1_c478_6674,
+        ];
+        let seeds: Vec<u64> = (0..8).collect();
+        let digests = sds_bench::parallel::map(&seeds, |_, &seed| transcript_digest(seed, TIGHT));
         assert_eq!(digests, PINNED, "a seed's completed queries or fingerprint moved");
     }
 }
