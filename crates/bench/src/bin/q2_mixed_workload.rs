@@ -14,8 +14,9 @@
 //! * `shard+cache`  — a [`QueryCache`] in front of the sharded engine, with
 //!   lease-driven validity and publish invalidation, as `RegistryNode` runs;
 //! * `batch/s{S}w{W}` — the workers × shards matrix: the batch path at
-//!   `S ∈ {4, 16}` shards with `data_plane_workers ∈ {1, 2, 4}` scoped
-//!   worker threads fanning each burst's per-shard queues in parallel.
+//!   `S ∈ {4, 16}` shards with `W ∈ {1, 2, 4}` scoped worker threads
+//!   ([`ShardedEngine::set_workers`]) fanning each burst's per-shard queues
+//!   in parallel.
 //!
 //! Reported per configuration: sustained queries/s plus p50/p99 per-query
 //! latency. The binary also asserts the coalescing claim outright: a burst

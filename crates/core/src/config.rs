@@ -294,19 +294,6 @@ pub struct RegistryConfig {
     /// Cap on peer endpoints carried by `FederationJoin`/`FederationAck`
     /// gossip, so peer-list payloads stay bounded on large federations.
     pub gossip_peer_cap: usize,
-    /// Worker shards in the registry data plane. Adverts are partitioned
-    /// across shards by semantic taxonomy component (exact-match hashing for
-    /// URI/template models) and queries route to the one shard that can hold
-    /// their matches; results are observably identical at any shard count.
-    /// 1 keeps everything in a single shard.
-    pub shard_count: usize,
-    /// Worker threads the registry data plane fans read work across: a
-    /// broadcast query's per-shard scans and a batch's per-shard queues run
-    /// share-nothing on scoped threads, merged through the total ranking
-    /// order. Results are byte-identical at any count — 1 (the default)
-    /// keeps evaluation on the node's thread, bit-for-bit the historical
-    /// path. Only pays off when `shard_count > 1` spreads the work.
-    pub data_plane_workers: usize,
     /// Overload control: admission, backpressure, and graceful degradation.
     /// Disabled by default; see [`OverloadPolicy`].
     pub overload: OverloadPolicy,
@@ -333,8 +320,6 @@ impl Default for RegistryConfig {
             transitive_peering: true,
             sync_interval: secs(10),
             gossip_peer_cap: 64,
-            shard_count: 1,
-            data_plane_workers: 1,
             overload: OverloadPolicy::disabled(),
             models: vec![ModelId::Uri, ModelId::Template, ModelId::Semantic],
             lease_policy: sds_registry::LeasePolicy::default(),
@@ -455,10 +440,6 @@ mod tests {
         assert!(q.timeout > r.response_window, "client must outwait aggregation");
         // Anti-entropy on by default, with sane digest geometry.
         assert!(r.sync_interval > 0);
-        // The parallel data plane defaults to the sequential path: one
-        // shard, one worker — bit-for-bit the historical engine.
-        assert_eq!(r.shard_count, 1);
-        assert_eq!(r.data_plane_workers, 1);
         assert!(r.gossip_peer_cap > 0, "a zero cap would break federation joins");
         // Self-healing defaults off: the pre-PR behaviour is the default.
         assert!(!ClientConfig::default().retry.enabled());

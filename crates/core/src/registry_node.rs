@@ -11,11 +11,12 @@
 //!   (passive discovery);
 //! * the publishing surface: publish/renew/remove/update with leases, and
 //!   lease-based purging of obsolete advertisements;
-//! * the querying surface: local evaluation via the sharded data plane
-//!   ([`sds_registry::ShardedEngine`]) behind a registry-edge result cache
-//!   ([`sds_registry::QueryCache`]) with lease-driven invalidation,
-//!   federation forwarding (flood / expanding ring / random walk), response
-//!   aggregation with deduplication, ranking, and query response control;
+//! * the querying surface: local evaluation by a one-shard
+//!   [`sds_registry::ShardedEngine`] on the node's own thread, behind a
+//!   registry-edge result cache ([`sds_registry::QueryCache`]) with
+//!   lease-driven invalidation, federation forwarding (flood / expanding
+//!   ring / random walk), response aggregation with deduplication, ranking,
+//!   and query response control;
 //! * registry network maintenance: seeded federation join, peer liveness
 //!   pings, peer-list gossip (registry signaling), summaries;
 //! * gateway election among co-located registries (paper §4.7) so only one
@@ -48,15 +49,6 @@ use crate::util::{send_fanout_msg, send_msg, tags};
 /// The fixed wire size of a [`SyncEntry::Delta`] body (id, version, lease):
 /// what a delta-encoded advert update costs instead of the full advert.
 const SYNC_DELTA_ENTRY_BYTES: u32 = 56;
-
-/// Liveness record for a federation peer.
-#[derive(Clone, Copy, Debug)]
-struct PeerState {
-    last_seen: SimTime,
-    unanswered_pings: u8,
-    /// Last advertised advert count (from summaries), diagnostic.
-    advert_count: u32,
-}
 
 /// A federation peer that stopped answering pings and is being re-probed
 /// under backoff before eviction (opt-in via `RegistryConfig::probation`).
@@ -183,7 +175,8 @@ pub struct RegistryNode {
     /// Registry-edge result cache: memoized ranked hits with lease-driven
     /// validity plus reverse invalidation on publish/renew/remove.
     query_cache: QueryCache,
-    peers: BTreeMap<NodeId, PeerState>,
+    /// Federation peers, each with its count of unanswered pings.
+    peers: BTreeMap<NodeId, u8>,
     /// Anti-entropy state per peer, kept through probation (so a reinstated
     /// peer resynchronizes in O(divergence)) and dropped on eviction.
     sync: BTreeMap<NodeId, PeerSync>,
@@ -249,8 +242,7 @@ impl RegistryNode {
     }
 
     fn fresh_engine(cfg: &RegistryConfig, idx: &Option<Arc<SubsumptionIndex>>) -> ShardedEngine {
-        let mut engine = ShardedEngine::new(cfg.lease_policy, cfg.shard_count, idx.as_deref());
-        engine.set_workers(cfg.data_plane_workers);
+        let mut engine = ShardedEngine::new(cfg.lease_policy, 1, idx.as_deref());
         for model in &cfg.models {
             match model {
                 ModelId::Uri => engine.register_evaluator(Box::new(UriEvaluator)),
@@ -326,28 +318,18 @@ impl RegistryNode {
     }
 
     /// Gateway election (paper §4.7): among the registries recently heard on
-    /// this LAN plus self, the lowest node id is the WAN gateway.
-    fn is_gateway(&self, ctx: &Ctx<'_, DiscoveryMessage>) -> bool {
+    /// this LAN plus self, the lowest node id is the WAN gateway. Without
+    /// election every registry is its own gateway.
+    fn gateway(&self, ctx: &Ctx<'_, DiscoveryMessage>) -> NodeId {
         if !self.cfg.gateway_election {
-            return true;
+            return ctx.node();
         }
         let horizon = self.cfg.beacon_interval.saturating_mul(5) / 2;
         let now = ctx.now();
         self.local_registries
             .iter()
             .filter(|&(_, &t)| now.saturating_sub(t) <= horizon)
-            .all(|(&id, _)| ctx.node() <= id)
-    }
-
-    fn local_gateway(&self, ctx: &Ctx<'_, DiscoveryMessage>) -> Option<NodeId> {
-        let horizon = self.cfg.beacon_interval.saturating_mul(5) / 2;
-        let now = ctx.now();
-        self.local_registries
-            .iter()
-            .filter(|&(_, &t)| now.saturating_sub(t) <= horizon)
-            .map(|(&id, _)| id)
-            .chain(std::iter::once(ctx.node()))
-            .min()
+            .fold(ctx.node(), |gw, (&id, _)| gw.min(id))
     }
 
     fn beacon(&self, ctx: &mut Ctx<'_, DiscoveryMessage>) {
@@ -393,7 +375,7 @@ impl RegistryNode {
         }
     }
 
-    fn add_peer(&mut self, id: NodeId, now: SimTime, self_id: NodeId) {
+    fn add_peer(&mut self, id: NodeId, self_id: NodeId) {
         if id == self_id || self.local_registries.contains_key(&id) {
             return;
         }
@@ -402,12 +384,7 @@ impl RegistryNode {
         if self.probation.remove(&id).is_some() {
             self.stats.peers_reinstated += 1;
         }
-        let entry = self
-            .peers
-            .entry(id)
-            .or_insert(PeerState { last_seen: now, unanswered_pings: 0, advert_count: 0 });
-        entry.last_seen = now;
-        entry.unanswered_pings = 0;
+        self.peers.insert(id, 0);
     }
 
     /// Moves a silent peer to probation and schedules the first backed-off
@@ -459,16 +436,9 @@ impl RegistryNode {
     fn reinstate_peer(&mut self, ctx: &mut Ctx<'_, DiscoveryMessage>, id: NodeId) {
         self.probation.remove(&id);
         self.stats.peers_reinstated += 1;
-        let self_id = ctx.node();
         // Bypass add_peer's probation bookkeeping (already done above).
-        let now = ctx.now();
-        if id != self_id && !self.local_registries.contains_key(&id) {
-            let entry = self
-                .peers
-                .entry(id)
-                .or_insert(PeerState { last_seen: now, unanswered_pings: 0, advert_count: 0 });
-            entry.last_seen = now;
-            entry.unanswered_pings = 0;
+        if id != ctx.node() && !self.local_registries.contains_key(&id) {
+            self.peers.insert(id, 0);
         }
         self.join_seeds_to(ctx, &[id]);
         // The belief maps survived probation, so one digest round heals in
@@ -623,6 +593,79 @@ impl RegistryNode {
         (outcome, lease_until)
     }
 
+    /// Renews through the engine, keeping the query cache coherent: a
+    /// renewal can revive an expired-but-unpurged advert, which changes
+    /// query results without new content.
+    fn renew_cached(&mut self, id: Uuid, now: SimTime) -> (bool, SimTime) {
+        let revived =
+            self.engine.store().get(&id).and_then(|s| (!s.is_live(now)).then(|| s.advert.clone()));
+        let (known, lease_until) = self.engine.renew(id, now);
+        if known {
+            if let Some(advert) = revived {
+                self.invalidate_cache(&advert);
+            }
+        }
+        (known, lease_until)
+    }
+
+    /// Removes through the engine, keeping the query cache coherent and the
+    /// sync beliefs within the store. Removing a live advert can shrink
+    /// cached results; removing an already-expired one cannot (validity
+    /// ended with it).
+    fn remove_cached(&mut self, id: Uuid, now: SimTime) {
+        let removed =
+            self.engine.store().get(&id).and_then(|s| s.is_live(now).then(|| s.advert.clone()));
+        self.engine.remove(id);
+        if let Some(advert) = removed {
+            self.invalidate_cache(&advert);
+        }
+        // The next digest round propagates the deletion: peers prune it
+        // from the covered bucket.
+        self.forget_synced(&[id]);
+    }
+
+    /// Keeps "believed synced ⊆ stored" for adverts that left the store: a
+    /// removed or purged replica must be fetched again if its origin still
+    /// lists it, and a first-hand advert gone can no longer serve as a
+    /// delta base.
+    fn forget_synced(&mut self, ids: &[Uuid]) {
+        for st in self.sync.values_mut() {
+            for id in ids {
+                st.synced.remove(id);
+                st.acked.remove(id);
+            }
+        }
+    }
+
+    /// Answers `client`'s query: ranks the hits, truncates them to the
+    /// query's response cap, and sends them. Every answer to a client goes
+    /// through here; a federation answer toward an aggregator is neither
+    /// ranked nor truncated.
+    fn respond(
+        &mut self,
+        ctx: &mut Ctx<'_, DiscoveryMessage>,
+        client: NodeId,
+        query_id: QueryId,
+        max_responses: Option<u16>,
+        mut hits: Vec<ResponseHit>,
+    ) {
+        rank_hits(&mut hits);
+        if let Some(k) = max_responses {
+            hits.truncate(usize::from(k));
+        }
+        self.stats.responses_to_clients += 1;
+        send_msg(
+            ctx,
+            self.cfg.codec,
+            Destination::Unicast(client),
+            DiscoveryMessage::querying(QueryOp::QueryResponse {
+                query_id,
+                hits,
+                responder: ctx.node(),
+            }),
+        );
+    }
+
     /// Adopts a client query: evaluate locally, then either answer at once
     /// or aggregate federation responses within the response window. Under
     /// overload the answer degrades before availability does: the response
@@ -654,38 +697,24 @@ impl RegistryNode {
             let key = cache_key(&query.payload, query.max_responses);
             let stale =
                 self.query_cache.get_stale(&key, ctx.now(), pol.stale_slack).map(<[_]>::to_vec);
-            if let Some(mut hits) = stale {
-                if let Some(k) = query.max_responses {
-                    hits.truncate(k as usize);
-                }
+            if let Some(hits) = stale {
                 self.stats.stale_served += 1;
-                self.stats.responses_to_clients += 1;
-                send_msg(
-                    ctx,
-                    self.cfg.codec,
-                    Destination::Unicast(from),
-                    DiscoveryMessage::querying(QueryOp::QueryResponse {
-                        query_id: query.id,
-                        hits,
-                        responder: ctx.node(),
-                    }),
-                );
+                self.respond(ctx, from, query.id, query.max_responses, hits);
                 return;
             }
         }
         let local_hits = self.cached_evaluate(&query, ctx.now());
 
-        let i_am_gateway = self.is_gateway(ctx);
+        let gateway = self.gateway(ctx);
         let ttl = self.adoption_ttl(query.ttl, 0);
-        let (targets, fwd_ttl) = if i_am_gateway {
+        let (targets, fwd_ttl) = if gateway == ctx.node() {
             (self.forward_targets(ctx, ttl), ttl.saturating_sub(1))
-        } else {
+        } else if ttl > 0 {
             // Delegate WAN forwarding to the elected gateway (full TTL: the
             // local hop does not spend registry-network budget).
-            match self.local_gateway(ctx) {
-                Some(gw) if gw != ctx.node() && ttl > 0 => (vec![gw], ttl),
-                _ => (Vec::new(), 0),
-            }
+            (vec![gateway], ttl)
+        } else {
+            (Vec::new(), 0)
         };
         // Stale band: keep the query off the federation even on a cache
         // miss; local knowledge is the whole answer.
@@ -698,22 +727,7 @@ impl RegistryNode {
 
         if targets.is_empty() {
             // Answer immediately from local knowledge.
-            let mut hits = local_hits;
-            rank_hits(&mut hits);
-            if let Some(k) = query.max_responses {
-                hits.truncate(k as usize);
-            }
-            self.stats.responses_to_clients += 1;
-            send_msg(
-                ctx,
-                self.cfg.codec,
-                Destination::Unicast(from),
-                DiscoveryMessage::querying(QueryOp::QueryResponse {
-                    query_id: query.id,
-                    hits,
-                    responder: ctx.node(),
-                }),
-            );
+            self.respond(ctx, from, query.id, query.max_responses, local_hits);
             return;
         }
 
@@ -796,22 +810,9 @@ impl RegistryNode {
         for alias in &pending.aliases {
             self.pending_by_alias.remove(alias);
         }
-        let mut hits: Vec<ResponseHit> = pending.hits.into_values().collect();
-        rank_hits(&mut hits);
-        if let Some(k) = pending.original.max_responses {
-            hits.truncate(k as usize);
-        }
-        self.stats.responses_to_clients += 1;
-        send_msg(
-            ctx,
-            self.cfg.codec,
-            Destination::Unicast(pending.client),
-            DiscoveryMessage::querying(QueryOp::QueryResponse {
-                query_id: pending.original.id,
-                hits,
-                responder: ctx.node(),
-            }),
-        );
+        let hits = pending.hits.into_values().collect();
+        let original = &pending.original;
+        self.respond(ctx, pending.client, original.id, original.max_responses, hits);
     }
 
     /// Checks a freshly stored advert against every live standing query and
@@ -992,29 +993,14 @@ impl RegistryNode {
                 }
                 SyncEntry::Delta { id, version, lease_until } => {
                     mentioned.push(id);
-                    let held = self
-                        .engine
-                        .store()
-                        .get(&id)
-                        .map(|s| (s.advert.version, s.is_live(now), s.advert.clone()));
-                    match held {
-                        Some((v, live, advert)) if v == version => {
-                            // A renewal can revive an expired-but-unpurged
-                            // replica, which changes query results without
-                            // new content: invalidate (mirrors RenewLease).
-                            let (known, _) = self.engine.renew(id, now);
-                            if known && !live {
-                                self.invalidate_cache(&advert);
-                            }
-                            self.sync
-                                .entry(from)
-                                .or_default()
-                                .synced
-                                .insert(id, (version, lease_until));
-                        }
+                    if self.engine.store().get(&id).is_some_and(|s| s.advert.version == version) {
+                        self.renew_cached(id, now);
+                        let st = self.sync.entry(from).or_default();
+                        st.synced.insert(id, (version, lease_until));
+                    } else {
                         // Unknown advert or version skew: the delta base is
                         // wrong on our side, ask for the full advert.
-                        _ => missing.push(id),
+                        missing.push(id);
                     }
                 }
             }
@@ -1055,11 +1041,10 @@ impl RegistryNode {
                 });
                 send_msg(ctx, self.cfg.codec, Destination::Unicast(from), reply);
             }
-            MaintenanceOp::RegistryBeacon { advert_count } => {
+            MaintenanceOp::RegistryBeacon { .. } => {
                 // Multicast is link-local, so a received beacon implies a
                 // co-located registry.
                 self.local_registries.insert(from, ctx.now());
-                let _ = advert_count;
             }
             MaintenanceOp::Ping => {
                 send_msg(
@@ -1072,9 +1057,8 @@ impl RegistryNode {
             MaintenanceOp::Pong => {
                 if self.probation.contains_key(&from) {
                     self.reinstate_peer(ctx, from);
-                } else if let Some(p) = self.peers.get_mut(&from) {
-                    p.unanswered_pings = 0;
-                    p.last_seen = ctx.now();
+                } else if let Some(unanswered) = self.peers.get_mut(&from) {
+                    *unanswered = 0;
                 }
             }
             MaintenanceOp::RegistryListRequest { from_registry } => {
@@ -1106,7 +1090,7 @@ impl RegistryNode {
                     let self_id = ctx.node();
                     let had_peers = !self.peers.is_empty();
                     for r in registries {
-                        self.add_peer(r, ctx.now(), self_id);
+                        self.add_peer(r, self_id);
                     }
                     // Coming back from isolation: announce ourselves so the
                     // links become bidirectional immediately.
@@ -1118,10 +1102,10 @@ impl RegistryNode {
             MaintenanceOp::FederationJoin { known_peers } => {
                 let self_id = ctx.node();
                 let peers = self.gossip_peer_list(from);
-                self.add_peer(from, ctx.now(), self_id);
+                self.add_peer(from, self_id);
                 if self.cfg.transitive_peering {
                     for p in known_peers {
-                        self.add_peer(p, ctx.now(), self_id);
+                        self.add_peer(p, self_id);
                     }
                 }
                 send_msg(
@@ -1143,10 +1127,10 @@ impl RegistryNode {
             }
             MaintenanceOp::FederationAck { peers } => {
                 let self_id = ctx.node();
-                self.add_peer(from, ctx.now(), self_id);
+                self.add_peer(from, self_id);
                 if self.cfg.transitive_peering {
                     for p in peers {
-                        self.add_peer(p, ctx.now(), self_id);
+                        self.add_peer(p, self_id);
                     }
                 }
                 if self.anti_entropy_on() {
@@ -1162,7 +1146,7 @@ impl RegistryNode {
                 // one round instead of waiting on signaling gossip.
                 if self.anti_entropy_on() {
                     let newly_adopted = !self.peers.contains_key(&from);
-                    self.add_peer(from, ctx.now(), ctx.node());
+                    self.add_peer(from, ctx.node());
                     if newly_adopted && self.peers.contains_key(&from) {
                         self.send_sync_digest(ctx, from);
                     }
@@ -1195,12 +1179,6 @@ impl RegistryNode {
                     self.send_sync_delta(ctx, from, &[], Some(&missing));
                 }
             }
-            MaintenanceOp::SummaryAdvert { advert_count, .. } => {
-                if let Some(p) = self.peers.get_mut(&from) {
-                    p.advert_count = advert_count;
-                    p.last_seen = ctx.now();
-                }
-            }
             MaintenanceOp::ArtifactRequest { name } => {
                 let (found, size) = match self.engine.artifacts().get_latest(&name) {
                     Some(a) => (true, a.body.len() as u32),
@@ -1219,9 +1197,11 @@ impl RegistryNode {
             }
             // A registry never backs off on `Busy` itself: overloaded peers
             // shed federation traffic silently, so an arriving nack is for
-            // a client/provider role and carries nothing for us.
+            // a client/provider role and carries nothing for us. Peers'
+            // summaries are sent for the wire's sake; nothing reads them.
             MaintenanceOp::RegistryProbeReply { .. }
             | MaintenanceOp::ArtifactResponse { .. }
+            | MaintenanceOp::SummaryAdvert { .. }
             | MaintenanceOp::Busy { .. } => {}
         }
     }
@@ -1306,21 +1286,7 @@ impl RegistryNode {
                     let (_, lease_until) = self.publish_cached(advert, from, ctx.now(), lease_ms);
                     (true, lease_until)
                 } else {
-                    // A renewal can revive an expired-but-unpurged advert,
-                    // which changes query results without new content:
-                    // invalidate.
-                    let revived = self
-                        .engine
-                        .store()
-                        .get(&id)
-                        .and_then(|s| (!s.is_live(ctx.now())).then(|| s.advert.clone()));
-                    let (known, lease_until) = self.engine.renew(id, ctx.now());
-                    if known {
-                        if let Some(advert) = revived {
-                            self.invalidate_cache(&advert);
-                        }
-                    }
-                    (known, lease_until)
+                    self.renew_cached(id, ctx.now())
                 };
                 send_msg(
                     ctx,
@@ -1329,26 +1295,7 @@ impl RegistryNode {
                     DiscoveryMessage::publishing(PublishOp::RenewAck { id, lease_until, known }),
                 );
             }
-            PublishOp::Remove { id } => {
-                // Removing a live advert can shrink cached results; removing
-                // an already-expired one cannot (validity ended with it).
-                let removed = self
-                    .engine
-                    .store()
-                    .get(&id)
-                    .and_then(|s| s.is_live(ctx.now()).then(|| s.advert.clone()));
-                self.engine.remove(id);
-                if let Some(advert) = removed {
-                    self.invalidate_cache(&advert);
-                }
-                // The advert is gone from the store, so every sync belief
-                // referencing it is stale; the next digest round propagates
-                // the deletion (peers prune it from the covered bucket).
-                for st in self.sync.values_mut() {
-                    st.synced.remove(&id);
-                    st.acked.remove(&id);
-                }
-            }
+            PublishOp::Remove { id } => self.remove_cached(id, ctx.now()),
             // `ForwardAdverts` is the cluster baseline's full-copy
             // replication; federated registries replicate by sync digests
             // and deltas and take adverts from no other op.
@@ -1359,16 +1306,22 @@ impl RegistryNode {
         }
     }
 
-    /// Receives a `Query` on the owned and the borrowed delivery path alike:
-    /// counts it, sheds it in the busy band, drops a duplicate, and relays a
-    /// federation forward, which reads the query in place. Returns whether
-    /// the query is this registry's to adopt; the caller adopts an owned
-    /// copy. A relayed or adopted query is marked seen.
+    /// Admits a `Query`, or a client's `QueryRetry` of the attempt `root`,
+    /// reading it in place: counts it, sheds it in the busy band, drops a
+    /// duplicate, and relays a federation forward. Returns whether the query
+    /// is this registry's to adopt; the caller adopts an owned copy. A
+    /// relayed or adopted query is marked seen.
+    ///
+    /// A retry differs twice: it is always nacked in the busy band (its
+    /// sender is a client), and it dedups on its root attempt, re-answering
+    /// a root that already completed, because the retry means that answer
+    /// was lost.
     fn receive_query(
         &mut self,
         ctx: &mut Ctx<'_, DiscoveryMessage>,
         from: NodeId,
         query: &QueryMessage,
+        root: Option<QueryId>,
     ) -> bool {
         self.stats.queries_received += 1;
         // Overload admission runs before duplicate tracking: a shed query
@@ -1376,7 +1329,7 @@ impl RegistryNode {
         // against an attempt that was never processed.
         if self.above(self.cfg.overload.busy_pct) {
             match query.reply_to {
-                Some(aggregator) if aggregator != ctx.node() => {
+                Some(aggregator) if root.is_none() && aggregator != ctx.node() => {
                     // A federation forward: the origin's registry still
                     // answers from local knowledge, so shed silently instead
                     // of backpressuring a peer mid-aggregation.
@@ -1389,10 +1342,39 @@ impl RegistryNode {
             }
             return false;
         }
-        if !self.seen.first_sighting(query.id, ctx.now()) {
-            self.stats.duplicate_queries_dropped += 1;
+        let fresh = match root {
+            None => self.seen.first_sighting(query.id, ctx.now()),
+            Some(root) => {
+                let fresh = self.seen.first_sighting(root, ctx.now());
+                // Track the retry's own wire id too, so duplicates of the
+                // retry itself dedup normally.
+                let _ = self.seen.first_sighting(query.id, ctx.now());
+                fresh
+            }
+        };
+        if !fresh {
+            let Some(root) = root else {
+                self.stats.duplicate_queries_dropped += 1;
+                return false;
+            };
+            // The root attempt was admitted, so re-adopting it would double
+            // the evaluation (and federation) work exactly when the client
+            // suspects the registry is slow. With the root's aggregation
+            // still in flight, its answer is coming under an id the client
+            // accepts. Otherwise the root completed and the retry means its
+            // *response* was lost or shed in transit: re-answer cheaply from
+            // local knowledge (cache-hot for a recent query) without
+            // re-federating.
+            self.stats.retries_deduped += 1;
+            if !self.pending_by_alias.contains_key(&root) {
+                let hits = self.cached_evaluate(query, ctx.now());
+                self.respond(ctx, from, query.id, query.max_responses, hits);
+            }
             return false;
         }
+        // A retry whose root was shed or lost before admission is processed
+        // as a fresh query under its own wire id: the client's alias map
+        // credits responses to the root attempt.
         match query.reply_to {
             Some(aggregator) if aggregator != ctx.node() => {
                 self.relay_query(ctx, from, query, aggregator);
@@ -1411,65 +1393,6 @@ impl RegistryNode {
 
     fn on_querying(&mut self, ctx: &mut Ctx<'_, DiscoveryMessage>, from: NodeId, op: QueryOp) {
         match op {
-            QueryOp::Query(query) => {
-                if self.receive_query(ctx, from, &query) {
-                    self.adopt_query(ctx, from, query);
-                }
-            }
-            QueryOp::QueryRetry { query, root_seq } => {
-                self.stats.queries_received += 1;
-                if self.above(self.cfg.overload.busy_pct) {
-                    self.stats.busy_nacks += 1;
-                    self.send_busy(ctx, from);
-                    return;
-                }
-                let root = QueryId { origin: query.id.origin, seq: root_seq };
-                let root_fresh = self.seen.first_sighting(root, ctx.now());
-                // Track the retry's own wire id too, so duplicates of the
-                // retry itself dedup normally.
-                let _ = self.seen.first_sighting(query.id, ctx.now());
-                if !root_fresh {
-                    // The root attempt was admitted, so re-adopting it would
-                    // double the evaluation (and federation) work exactly
-                    // when the client suspects the registry is slow.
-                    self.stats.retries_deduped += 1;
-                    if self.pending_by_alias.contains_key(&root) {
-                        // Aggregation still in flight: the root's answer is
-                        // coming under an id the client accepts.
-                        return;
-                    }
-                    // The root already completed — the retry means its
-                    // *response* was lost or shed in transit. Re-answer
-                    // cheaply from local knowledge (cache-hot for a recent
-                    // query) without re-federating.
-                    let mut hits = self.cached_evaluate(&query, ctx.now());
-                    rank_hits(&mut hits);
-                    if let Some(k) = query.max_responses {
-                        hits.truncate(k as usize);
-                    }
-                    self.stats.responses_to_clients += 1;
-                    send_msg(
-                        ctx,
-                        self.cfg.codec,
-                        Destination::Unicast(from),
-                        DiscoveryMessage::querying(QueryOp::QueryResponse {
-                            query_id: query.id,
-                            hits,
-                            responder: ctx.node(),
-                        }),
-                    );
-                    return;
-                }
-                // The root was shed or lost before admission: process the
-                // retry as a fresh adoption under its own wire id — the
-                // client's alias map credits responses to the root attempt.
-                match query.reply_to {
-                    Some(aggregator) if aggregator != ctx.node() => {
-                        self.relay_query(ctx, from, &query, aggregator);
-                    }
-                    _ => self.adopt_query(ctx, from, query),
-                }
-            }
             QueryOp::Subscribe { id, payload, lease_ms } => {
                 let lease_until = self.cfg.lease_policy.grant(ctx.now(), lease_ms);
                 let replaced = self
@@ -1504,7 +1427,13 @@ impl RegistryNode {
                     DiscoveryMessage::querying(QueryOp::ComposeResponse { id, found, chain }),
                 );
             }
-            QueryOp::Notify { .. } | QueryOp::SubscribeAck { .. } | QueryOp::ComposeResponse { .. } => {}
+            // Queries and retries are received by reference, in
+            // `on_shared_message`, and never reach this match.
+            QueryOp::Query(_)
+            | QueryOp::QueryRetry { .. }
+            | QueryOp::Notify { .. }
+            | QueryOp::SubscribeAck { .. }
+            | QueryOp::ComposeResponse { .. } => {}
             QueryOp::QueryResponse { query_id, hits, responder: _ } => {
                 if let Some(&seq) = self.pending_by_alias.get(&query_id) {
                     if let Some(p) = self.pending.get_mut(&seq) {
@@ -1571,34 +1500,42 @@ impl NodeHandler<DiscoveryMessage> for RegistryNode {
         }
     }
 
+    /// An owned message takes the one receive path below.
     fn on_message(&mut self, ctx: &mut Ctx<'_, DiscoveryMessage>, from: NodeId, msg: DiscoveryMessage) {
-        // Every handled message is one unit of modeled work.
-        self.count_op();
-        match msg.op {
-            Operation::Maintenance(op) => self.on_maintenance(ctx, from, op),
-            Operation::Publishing(op) => self.on_publishing(ctx, from, op),
-            Operation::Querying(op) => self.on_querying(ctx, from, op),
-        }
+        self.on_shared_message(ctx, from, Rc::new(msg));
     }
 
     /// A flooded query reaches a registry once per peer that relays it, and
-    /// all but the first arrival are duplicates. A query is received on the
-    /// shared delivery, so a dropped one is never copied and a relayed one
-    /// is read in place (its forwards are a fresh fan-out payload anyway);
-    /// only an adopted query is materialized. Every other message takes the
-    /// owned path.
+    /// all but the first arrival are duplicates. A query or retry is
+    /// received on the shared delivery, so a dropped one is never copied and
+    /// a relayed one is read in place (its forwards are a fresh fan-out
+    /// payload anyway); only an adopted query is materialized. Every other
+    /// message is taken out of the box and dispatched by plane.
     fn on_shared_message(
         &mut self,
         ctx: &mut Ctx<'_, DiscoveryMessage>,
         from: NodeId,
         msg: Rc<DiscoveryMessage>,
     ) {
-        let Operation::Querying(QueryOp::Query(query)) = &msg.op else {
-            return self.on_message(ctx, from, take_payload(msg));
-        };
+        // Every handled message is one unit of modeled work.
         self.count_op();
-        if self.receive_query(ctx, from, query) {
-            let Operation::Querying(QueryOp::Query(query)) = take_payload(msg).op else {
+        let (query, root) = match &msg.op {
+            Operation::Querying(QueryOp::Query(query)) => (query, None),
+            Operation::Querying(QueryOp::QueryRetry { query, root_seq }) => {
+                (query, Some(QueryId { origin: query.id.origin, seq: *root_seq }))
+            }
+            _ => {
+                return match take_payload(msg).op {
+                    Operation::Maintenance(op) => self.on_maintenance(ctx, from, op),
+                    Operation::Publishing(op) => self.on_publishing(ctx, from, op),
+                    Operation::Querying(op) => self.on_querying(ctx, from, op),
+                };
+            }
+        };
+        if self.receive_query(ctx, from, query, root) {
+            let Operation::Querying(QueryOp::Query(query) | QueryOp::QueryRetry { query, .. }) =
+                take_payload(msg).op
+            else {
                 unreachable!("matched as a query above");
             };
             self.adopt_query(ctx, from, query);
@@ -1612,19 +1549,11 @@ impl NodeHandler<DiscoveryMessage> for RegistryNode {
                 ctx.set_timer(self.cfg.beacon_interval, tags::BEACON);
             }
             tags::PURGE => {
+                // Expiry needs no cache hook: each cache entry's validity
+                // already ends at its earliest returned lease.
                 let purged = self.engine.purge(ctx.now());
                 self.stats.adverts_purged += purged.len() as u64;
-                // Keep "believed synced ⊆ stored": a purged replica must be
-                // fetched again if its origin still lists it, and a purged
-                // first-hand advert can no longer serve as a delta base.
-                if !purged.is_empty() {
-                    for st in self.sync.values_mut() {
-                        for id in &purged {
-                            st.synced.remove(id);
-                            st.acked.remove(id);
-                        }
-                    }
-                }
+                self.forget_synced(&purged);
                 let now = ctx.now();
                 let sub_index = &mut self.sub_index;
                 self.subscriptions.retain(|&id, sub| {
@@ -1640,7 +1569,7 @@ impl NodeHandler<DiscoveryMessage> for RegistryNode {
                 let dead: Vec<NodeId> = self
                     .peers
                     .iter()
-                    .filter(|(_, p)| p.unanswered_pings >= PEER_PING_TOLERANCE)
+                    .filter(|&(_, &unanswered)| unanswered >= PEER_PING_TOLERANCE)
                     .map(|(&id, _)| id)
                     .collect();
                 for id in dead {
@@ -1655,8 +1584,8 @@ impl NodeHandler<DiscoveryMessage> for RegistryNode {
                 }
                 let targets: Vec<NodeId> = self.peers.keys().copied().collect();
                 for peer in targets {
-                    if let Some(p) = self.peers.get_mut(&peer) {
-                        p.unanswered_pings += 1;
+                    if let Some(unanswered) = self.peers.get_mut(&peer) {
+                        *unanswered += 1;
                     }
                     send_msg(
                         ctx,

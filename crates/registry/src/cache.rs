@@ -17,7 +17,8 @@
 //!    candidate set there is a sound over-approximation of the cached
 //!    queries whose results it could appear in (or newly match). The caller
 //!    invalidates on the events that can change results; see
-//!    `RegistryNode::invalidate_cache_for` in `sds-core`.
+//!    `RegistryNode::{publish_cached, renew_cached, remove_cached}` in
+//!    `sds-core`.
 //!
 //! Keys are the payload's canonical wire bytes (the codec encoding is
 //! injective; QoS `f64`s keep `QueryPayload` from deriving `Eq`/`Hash`)

@@ -1,9 +1,9 @@
 //! The workspace's one scoped worker pool for share-nothing fan-out.
 //!
 //! Three callers, one mechanism: the simulator runs a lookahead
-//! window's domains on it ([`for_each_mut`] over `&mut [Domain]`), the
-//! registry data plane fans a broadcast query's per-shard scans and a
-//! batch's per-shard queues across it from *inside* a node handler, and
+//! window's domains on it ([`for_each_mut`] over `&mut [Domain]`), a
+//! multi-worker sharded registry engine fans a broadcast query's per-shard
+//! scans and a batch's per-shard queues across it, and
 //! `sds_bench::parallel` drives multi-seed experiments with it (both through
 //! [`map_indexed`]). Zero external dependencies, per the workspace policy:
 //! `std::thread::scope` workers claim indices off one atomic cursor, and the

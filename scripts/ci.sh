@@ -45,6 +45,10 @@ scripts/bench_compare.sh bench-results/7b0e6ff.results bench-results/pr36.result
   bench-results/pr36.declared > /dev/null
 scripts/bench_compare.sh bench-results/7b0e6ff-seed7331.results \
   bench-results/pr36-seed7331.results bench-results/pr36.declared > /dev/null
+# One path per registry-node decision (one admission, one client answer, one
+# cache-coherent write per store operation) declares nothing: every frame,
+# draw and count must compare equal as recorded.
+scripts/bench_compare.sh bench-results/f175291.results bench-results/pr37.results > /dev/null
 
 # Bounded chaos soak (quick mode): fixed 8-seed sweep of combined churn +
 # fault injection with post-heal convergence invariants. Deterministic, so
@@ -59,10 +63,10 @@ SDS_CHAOS_SEEDS=8 cargo test -q --offline -p sds-integration --test chaos_soak
 SDS_CHAOS_SEEDS=2 SDS_RECOVERY_BOUND=30000 \
   cargo test -q --offline -p sds-integration --test rolling_chaos
 
-# Engine equivalence: the default configuration must reproduce the pinned
-# chaos-soak golden digests bit-for-bit in one domain, and one domain per
-# LAN must reproduce its pinned digests at 1, 2 and 4 workers (a failure
-# names the seed and worker count). --include-ignored adds the full 8-seed
+# Engine equivalence: the default configuration must reproduce the one
+# table of pinned chaos-soak golden digests bit-for-bit in one domain, and
+# in one domain per LAN at 1, 2 and 4 workers (a failure names the seed and
+# worker count). --include-ignored adds the full 8-seed
 # sweeps (release profile) to the quick 2-seed tests.
 cargo test -q --offline --release -p sds-integration --test engine_equivalence \
   -- --include-ignored
@@ -85,12 +89,6 @@ SDS_BENCH_QUICK=1 cargo run -q --release --offline -p sds-bench --bin s1_engine_
 # to a lone sequential evaluation — on randomized taxonomies, stores, and
 # lease schedules (seeded in-workspace property harness).
 cargo test -q --offline -p sds-registry --test shard_props
-
-# Multi-worker registry scenario: the full chaos soak with every registry on
-# a 4-shard, multi-worker data plane must reproduce the default plane's
-# metrics digest bit-for-bit — worker threads inside node handlers are an
-# observable no-op end-to-end, not just at the engine boundary.
-cargo test -q --offline -p sds-integration --test multiworker_registry
 
 # Mixed-workload smoke (quick mode): proves the Q2 bin runs — sharded +
 # batched + cached data-plane configurations plus the workers × shards

@@ -35,52 +35,14 @@ pub struct SoakOutcome {
     pub digest: u64,
 }
 
-/// Runs the soak with the default registry configuration in one domain
-/// (`PartitionPlan::Single`), like every production-shaped scenario.
-pub fn run_soak(seed: u64) -> SoakOutcome {
-    run_soak_configured(seed, PartitionPlan::Single, 1, DataPlane::default())
-}
-
-/// Runs the soak with one domain per LAN and the given worker-thread count.
-/// Every plan has the same per-LAN semantics; only the interleaving of
-/// same-time events in different domains may differ from [`run_soak`]. The
-/// digest must be identical for every `workers` value, which is the
-/// worker-count-invariance guarantee `engine_equivalence.rs` pins.
-pub fn run_soak_partitioned(seed: u64, workers: usize) -> SoakOutcome {
-    run_soak_configured(seed, PartitionPlan::PerLan, workers, DataPlane::default())
-}
-
-/// The registry data-plane shape the soak runs with: shard count and
-/// `data_plane_workers` thread count. Both are contracted to be observable
-/// no-ops, so a soak digest must be identical across every `DataPlane` —
-/// `tests/multiworker_registry.rs` pins exactly that against the default
-/// plane's digest.
-#[derive(Clone, Copy, Debug)]
-pub struct DataPlane {
-    pub shard_count: usize,
-    pub workers: usize,
-}
-
-impl Default for DataPlane {
-    fn default() -> Self {
-        Self { shard_count: 1, workers: 1 }
-    }
-}
-
-/// Runs the soak with a sharded, multi-worker registry data plane — the
-/// end-to-end "multi-worker registry scenario": every registry node
-/// evaluates broadcast scans and batch queues across `workers` scoped
-/// threads inside its handler.
-pub fn run_soak_data_plane(seed: u64, plane: DataPlane) -> SoakOutcome {
-    run_soak_configured(seed, PartitionPlan::Single, 1, plane)
-}
-
-fn run_soak_configured(
-    seed: u64,
-    partition: PartitionPlan,
-    workers: usize,
-    data_plane: DataPlane,
-) -> SoakOutcome {
+/// Runs the soak with the default registry configuration under `partition`
+/// on `workers` threads. Every plan has the same per-LAN semantics; only
+/// the interleaving of same-time events in different domains may differ,
+/// and the digest must not see it: `engine_equivalence.rs` pins one digest
+/// per seed for one domain (`PartitionPlan::Single`, like every
+/// production-shaped scenario) and for one domain per LAN at every worker
+/// count.
+pub fn run_soak(seed: u64, partition: PartitionPlan, workers: usize) -> SoakOutcome {
     let mut cfg = ScenarioConfig {
         lans: 3,
         clients_per_lan: 1,
@@ -97,8 +59,6 @@ fn run_soak_configured(
         workers,
         ..Default::default()
     };
-    cfg.registry.shard_count = data_plane.shard_count;
-    cfg.registry.data_plane_workers = data_plane.workers;
     // Keep the duplicate-counting invariant sharp: unicast queries have
     // exactly one legitimate responder (the home registry), so any second
     // counted response is a fault-injection duplicate leaking through.

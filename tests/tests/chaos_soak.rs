@@ -21,6 +21,7 @@
 //! in `engine_equivalence.rs`).
 
 use sds_integration::soak::run_soak;
+use sds_simnet::PartitionPlan;
 
 fn seed_count() -> u64 {
     std::env::var("SDS_CHAOS_SEEDS").ok().and_then(|v| v.parse().ok()).unwrap_or(8)
@@ -29,7 +30,8 @@ fn seed_count() -> u64 {
 #[test]
 fn chaos_soak_upholds_convergence_invariants_across_seeds() {
     let seeds: Vec<u64> = (0..seed_count()).collect();
-    let outcomes = sds_bench::parallel::map(&seeds, |_, &seed| run_soak(seed));
+    let outcomes =
+        sds_bench::parallel::map(&seeds, |_, &seed| run_soak(seed, PartitionPlan::Single, 1));
     for (seed, outcome) in seeds.iter().zip(&outcomes) {
         assert!(
             outcome.report.check_count() > 0,
@@ -49,13 +51,13 @@ fn chaos_soak_is_deterministic_per_seed() {
     // results, and store contents (compared by fingerprint of the full
     // metrics transcript).
     for seed in [1_000u64, 1_001] {
-        let a = run_soak(seed);
-        let b = run_soak(seed);
+        let a = run_soak(seed, PartitionPlan::Single, 1);
+        let b = run_soak(seed, PartitionPlan::Single, 1);
         assert_eq!(a.digest, b.digest, "seed {seed}: runs diverged");
     }
     assert_ne!(
-        run_soak(1_000).digest,
-        run_soak(1_001).digest,
+        run_soak(1_000, PartitionPlan::Single, 1).digest,
+        run_soak(1_001, PartitionPlan::Single, 1).digest,
         "different seeds produce different schedules"
     );
 }

@@ -3,7 +3,8 @@
 //! observable bit changes*. These tests pin that contract:
 //!
 //! * the full chaos-soak metric transcript digests for eight seeds, on the
-//!   default configuration, must equal the pinned goldens — the soak
+//!   default configuration, must equal the pinned goldens in one domain and
+//!   in one domain per LAN at every worker count — the soak
 //!   exercises multicast fan-out, duplication, corruption (copy-on-write
 //!   forks), reordering, timer cancellation storms, crashes and revivals,
 //!   anti-entropy replication and its loss recovery, so a single diverged
@@ -13,23 +14,29 @@
 //!   workloads.
 
 use sds_bench::parallel;
-use sds_integration::soak::{run_soak, run_soak_partitioned};
+use sds_integration::soak::{run_soak, SoakOutcome};
+use sds_simnet::PartitionPlan;
 
-/// Chaos-soak digests of `run_soak(seed)` — default registry configuration,
-/// one domain (`PartitionPlan::Single`). Re-pinned once at the change that
-/// deleted the separate one-domain execution (parent rev `854f87d`), which
-/// moved one-domain sims onto the per-LAN semantics every plan now shares:
-/// per-LAN link/fault streams, per-LAN WAN uplinks, node-scoped timer ids
-/// and controls applied at barriers. On that engine alone they equalled
-/// [`PARTITIONED_GOLDENS`] as pinned at `b1e8ca1`, entry for entry: the
-/// soak's digest does not see how same-time events of different domains
-/// interleave. The same change fixed a registry that kept a provider's
-/// renewals for a copy it held only as a replica (see `RenewLease` in
-/// `registry_node.rs`), which moves seeds 6 and 7 in both families alike.
-/// Recorded in a release build, every entry after `report.assert_clean()`.
-/// Any change that claims to leave the default path alone must reproduce
-/// them bit-for-bit.
-const SINGLE_DOMAIN_GOLDENS: [(u64, u64); 8] = [
+/// Chaos-soak digests of `run_soak` with the default registry
+/// configuration, one per seed, for every partition plan and worker count:
+/// the digest is a pure function of the seed, and worker count, thread
+/// scheduling, domain-to-worker assignment and the interleaving of
+/// same-time events in different domains must have zero observable effect.
+///
+/// History: one domain per LAN was pinned at rev `b1e8ca1` at `workers = 1`,
+/// `2` and `4` (identical). The one-domain plan was re-pinned once at the
+/// change that deleted the separate one-domain execution (parent rev
+/// `854f87d`), which moved one-domain sims onto the per-LAN semantics every
+/// plan now shares: per-LAN link/fault streams, per-LAN WAN uplinks,
+/// node-scoped timer ids and controls applied at barriers; on that engine
+/// alone the two families agreed entry for entry. The same change fixed a
+/// registry that kept a provider's renewals for a copy it held only as a
+/// replica (see `RenewLease` in `registry_node.rs`), which moved seeds 6
+/// and 7 in both families alike; the two tables were identical from then on
+/// and are this one table now. Recorded in a release build, every entry
+/// after `report.assert_clean()`. Any change that claims to leave the
+/// default path alone must reproduce them bit-for-bit.
+const SOAK_GOLDENS: [(u64, u64); 8] = [
     (0, 0xCA8925EC07E1B0D5),
     (1, 0x3D2FAB5F921BB314),
     (2, 0xC4991140D34CC7F0),
@@ -40,12 +47,17 @@ const SINGLE_DOMAIN_GOLDENS: [(u64, u64); 8] = [
     (7, 0x77F7129D1940C561),
 ];
 
+/// One domain, the plan of every production-shaped scenario.
+fn run_single(seed: u64) -> SoakOutcome {
+    run_soak(seed, PartitionPlan::Single, 1)
+}
+
 /// The two seeds cheap enough for the debug-profile tier-1 run; the release
 /// variant below covers all eight.
 #[test]
 fn chaos_digests_match_pre_change_engine() {
-    for &(seed, want) in &SINGLE_DOMAIN_GOLDENS[..2] {
-        let o = run_soak(seed);
+    for &(seed, want) in &SOAK_GOLDENS[..2] {
+        let o = run_single(seed);
         o.report.assert_clean();
         assert_eq!(
             o.digest, want,
@@ -64,13 +76,13 @@ fn chaos_digests_match_pre_change_engine() {
 #[test]
 #[ignore = "eight release-profile soaks; run explicitly via ci.sh"]
 fn chaos_digests_match_pre_change_engine_all_seeds_parallel() {
-    let seeds: Vec<u64> = SINGLE_DOMAIN_GOLDENS.iter().map(|&(s, _)| s).collect();
+    let seeds: Vec<u64> = SOAK_GOLDENS.iter().map(|&(s, _)| s).collect();
     let digests = parallel::map(&seeds, |_, &seed| {
-        let o = run_soak(seed);
+        let o = run_single(seed);
         o.report.assert_clean();
         o.digest
     });
-    for (&(seed, want), &got) in SINGLE_DOMAIN_GOLDENS.iter().zip(&digests) {
+    for (&(seed, want), &got) in SOAK_GOLDENS.iter().zip(&digests) {
         assert_eq!(got, want, "seed {seed} under the parallel driver");
     }
 }
@@ -82,9 +94,9 @@ fn chaos_digests_match_pre_change_engine_all_seeds_parallel() {
 #[test]
 fn parallel_driver_matches_sequential_for_simulation_workloads() {
     let seeds: Vec<u64> = (100..106).collect();
-    let sequential: Vec<u64> = seeds.iter().map(|&s| run_soak(s).digest).collect();
+    let sequential: Vec<u64> = seeds.iter().map(|&s| run_single(s).digest).collect();
     for workers in [2, 3, 8] {
-        let parallel = parallel::map_with_workers(workers, &seeds, |_, &s| run_soak(s).digest);
+        let parallel = parallel::map_with_workers(workers, &seeds, |_, &s| run_single(s).digest);
         assert_eq!(parallel, sequential, "workers={workers}");
     }
 }
@@ -104,28 +116,6 @@ fn parallel_map_indexes_and_orders_by_input() {
     }
 }
 
-/// Chaos-soak digests with one share-nothing domain per LAN, default
-/// registry configuration, recorded at rev `b1e8ca1` at `workers = 1`, `2`
-/// and `4` (identical). Seeds 6 and 7 were re-pinned, together with
-/// [`SINGLE_DOMAIN_GOLDENS`], by the `RenewLease` replica fix; the engine
-/// change that landed with it reproduced all eight unedited. Link/fault
-/// randomness comes from per-LAN streams (so domains can run concurrently
-/// without sharing an RNG) and WAN sends serialize per LAN uplink; the
-/// digest is a pure function of the seed: worker count, thread scheduling,
-/// and domain-to-worker assignment must have zero observable effect. Every
-/// entry was verified invariant-clean (full convergence report) when
-/// recorded.
-const PARTITIONED_GOLDENS: [(u64, u64); 8] = [
-    (0, 0xCA8925EC07E1B0D5),
-    (1, 0x3D2FAB5F921BB314),
-    (2, 0xC4991140D34CC7F0),
-    (3, 0x49759CFAF74A6D4E),
-    (4, 0x42B05254032D2F90),
-    (5, 0x2B7F7D6F479EF62E),
-    (6, 0x2B9E5A5FEFAD3987),
-    (7, 0x77F7129D1940C561),
-];
-
 /// Worker counts the partitioned sweeps cover.
 const EQ_WORKERS: [usize; 3] = [1, 2, 4];
 
@@ -134,9 +124,9 @@ const EQ_WORKERS: [usize; 3] = [1, 2, 4];
 /// count, on the two cheap seeds. The expensive all-seed sweep is below.
 #[test]
 fn partitioned_chaos_digests_are_worker_count_invariant() {
-    for &(seed, want) in &PARTITIONED_GOLDENS[..2] {
+    for &(seed, want) in &SOAK_GOLDENS[..2] {
         for workers in EQ_WORKERS {
-            let o = run_soak_partitioned(seed, workers);
+            let o = run_soak(seed, PartitionPlan::PerLan, workers);
             o.report.assert_clean();
             assert_eq!(
                 o.digest, want,
@@ -153,9 +143,9 @@ fn partitioned_chaos_digests_are_worker_count_invariant() {
 #[test]
 #[ignore = "eight release-profile soaks per worker count; run explicitly via ci.sh"]
 fn partitioned_chaos_digests_are_worker_count_invariant_all_seeds() {
-    for &(seed, want) in &PARTITIONED_GOLDENS {
+    for &(seed, want) in &SOAK_GOLDENS {
         for workers in EQ_WORKERS {
-            let o = run_soak_partitioned(seed, workers);
+            let o = run_soak(seed, PartitionPlan::PerLan, workers);
             o.report.assert_clean();
             assert_eq!(o.digest, want, "seed {seed} workers {workers}");
         }
