@@ -19,10 +19,11 @@ use sds_protocol::{
     QueryPayload, ResponseHit, SharedAdvert,
 };
 use sds_semantic::Degree;
-use sds_simnet::{Ctx, Destination, IdMap, NodeHandler, NodeId, SimTime, TimerId};
-
+use sds_simnet::{secs, Ctx, Destination, IdMap, NodeHandler, NodeId, SimTime, TimerId};
 
 const TAG_BEACON: u64 = 1;
+/// Presence beacon period, so providers and clients can attach.
+const BEACON_INTERVAL: SimTime = secs(5);
 
 /// FNV-1a, the classic cheap string hash — adequate for ring placement.
 fn fnv1a(s: &str) -> u64 {
@@ -54,16 +55,6 @@ pub fn dht_key_of_payload(p: &QueryPayload) -> Option<String> {
     }
 }
 
-/// Configuration of one DHT super-peer.
-#[derive(Clone, Debug)]
-pub struct DhtConfig {
-    /// All ring members (including this node).
-    pub members: Vec<NodeId>,
-    /// Presence beacon period so providers/clients can attach.
-    pub beacon_interval: SimTime,
-    pub codec: Codec,
-}
-
 /// Counters for experiments.
 #[derive(Clone, Copy, Default, Debug)]
 pub struct DhtStats {
@@ -75,15 +66,16 @@ pub struct DhtStats {
 
 /// One DHT super-peer node.
 pub struct DhtNode {
-    cfg: DhtConfig,
+    /// All ring members (including this node).
+    members: Vec<NodeId>,
     /// Key → adverts stored under that key (this node owns these keys).
     index: IdMap<String, Vec<SharedAdvert>>,
     pub stats: DhtStats,
 }
 
 impl DhtNode {
-    pub fn new(cfg: DhtConfig) -> Self {
-        Self { cfg, index: IdMap::default(), stats: DhtStats::default() }
+    pub fn new(members: Vec<NodeId>) -> Self {
+        Self { members, index: IdMap::default(), stats: DhtStats::default() }
     }
 
     pub fn stored_keys(&self) -> usize {
@@ -100,7 +92,7 @@ impl DhtNode {
         let h = fnv1a(key);
         let mut best_wrap: Option<(u64, NodeId)> = None;
         let mut best_ge: Option<(u64, NodeId)> = None;
-        for &m in &self.cfg.members {
+        for &m in &self.members {
             let pos = Self::ring_position(m);
             if pos >= h
                 && best_ge.is_none_or(|(p, _)| pos < p) {
@@ -114,7 +106,7 @@ impl DhtNode {
     }
 
     fn send(&self, ctx: &mut Ctx<'_, DiscoveryMessage>, to: NodeId, msg: DiscoveryMessage) {
-        let bytes = self.cfg.codec.message_size(&msg);
+        let bytes = Codec::default().message_size(&msg);
         let kind = msg.kind();
         ctx.send(Destination::Unicast(to), msg, bytes, kind);
     }
@@ -124,7 +116,7 @@ impl DhtNode {
         let msg = DiscoveryMessage::maintenance(MaintenanceOp::RegistryBeacon {
             advert_count: self.index.len() as u32,
         });
-        let bytes = self.cfg.codec.message_size(&msg);
+        let bytes = Codec::default().message_size(&msg);
         ctx.send(Destination::Multicast(lan), msg, bytes, "beacon");
     }
 }
@@ -132,10 +124,8 @@ impl DhtNode {
 impl NodeHandler<DiscoveryMessage> for DhtNode {
     fn on_start(&mut self, ctx: &mut Ctx<'_, DiscoveryMessage>) {
         self.index.clear();
-        if self.cfg.beacon_interval > 0 {
-            self.beacon(ctx);
-            ctx.set_timer(self.cfg.beacon_interval, TAG_BEACON);
-        }
+        self.beacon(ctx);
+        ctx.set_timer(BEACON_INTERVAL, TAG_BEACON);
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<'_, DiscoveryMessage>, from: NodeId, msg: DiscoveryMessage) {
@@ -152,7 +142,7 @@ impl NodeHandler<DiscoveryMessage> for DhtNode {
             }
             Operation::Maintenance(MaintenanceOp::RegistryListRequest { .. }) => {
                 let reply = DiscoveryMessage::maintenance(MaintenanceOp::RegistryList {
-                    registries: self.cfg.members.clone(),
+                    registries: self.members.clone(),
                 });
                 self.send(ctx, from, reply);
             }
@@ -255,7 +245,7 @@ impl NodeHandler<DiscoveryMessage> for DhtNode {
     fn on_timer(&mut self, ctx: &mut Ctx<'_, DiscoveryMessage>, _timer: TimerId, tag: u64) {
         if tag == TAG_BEACON {
             self.beacon(ctx);
-            ctx.set_timer(self.cfg.beacon_interval, TAG_BEACON);
+            ctx.set_timer(BEACON_INTERVAL, TAG_BEACON);
         }
     }
 }
@@ -275,16 +265,7 @@ mod tests {
         let members: Vec<NodeId> = (0..n as u32).map(NodeId).collect();
         let ids: Vec<NodeId> = lans
             .iter()
-            .map(|&lan| {
-                sim.add_node(
-                    lan,
-                    Box::new(DhtNode::new(DhtConfig {
-                        members: members.clone(),
-                        beacon_interval: secs(5),
-                        codec: Codec::default(),
-                    })),
-                )
-            })
+            .map(|&lan| sim.add_node(lan, Box::new(DhtNode::new(members.clone()))))
             .collect();
         (sim, ids, lans)
     }

@@ -1,32 +1,18 @@
-//! # sds-baselines — the systems the paper argues against
+//! # sds-baselines — the DHT the paper argues against
 //!
 //! The paper's case for autonomous federated registries is comparative: it
-//! names the shortcomings of the Web-Service discovery technologies of its
-//! day. To reproduce those comparisons, this crate implements each
-//! comparator at the fidelity the argument requires:
+//! names the shortcomings of the discovery technologies of its day. The
+//! UDDI-like and WS-Discovery-like comparators need no code of their own:
+//! they are `sds-core` deployments, a centralized registry under
+//! `LeasePolicy::no_leasing` and the decentralized multicast deployment
+//! (E1, E3, E4, E11, E13).
 //!
-//! * [`cluster`] — a **UDDI-like replicated registry cluster**: replicas
-//!   share identical content via advert forwarding and, crucially, grant no
-//!   leases ("neither UDDI nor ebXML use leasing, and are dependent on
-//!   services actively de-registering themselves … a serious shortcoming");
-//! * [`wsdiscovery`] — a **WS-Discovery-like** LAN protocol: services
-//!   multicast Hello/Bye, clients probe by multicast, and an optional
-//!   discovery proxy caches Hellos ("when used with a discovery proxy the
-//!   same shortcoming applies to WS-Discovery");
-//! * [`dht`] — a **DHT keyword index** over super-peers (consistent
-//!   hashing): publishes and lookups route by key hash, so "query evaluation
-//!   other than string matching cannot be performed at the intermediate
-//!   nodes" — semantic subsumption queries structurally cannot be answered.
-//!
-//! The paper's *centralized* and *decentralized* strawmen need no new code:
-//! they are `sds-core` deployments (one static registry / no registries with
-//! multicast fallback) — see `presets`.
+//! What a deployment cannot express lives here: [`dht`], a **DHT keyword
+//! index** over super-peers (consistent hashing). Publishes and lookups
+//! route by key hash, so "query evaluation other than string matching
+//! cannot be performed at the intermediate nodes": semantic subsumption
+//! queries structurally cannot be answered (E12).
 
-pub mod cluster;
 pub mod dht;
-pub mod presets;
-pub mod wsdiscovery;
 
-pub use cluster::ClusterRegistryNode;
-pub use dht::{dht_key_of_description, dht_key_of_payload, DhtConfig, DhtNode};
-pub use wsdiscovery::{WsProxyNode, WsServiceNode};
+pub use dht::{dht_key_of_description, dht_key_of_payload, DhtNode};

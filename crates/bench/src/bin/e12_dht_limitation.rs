@@ -8,7 +8,7 @@
 
 use std::sync::Arc;
 
-use sds_baselines::{DhtConfig, DhtNode};
+use sds_baselines::DhtNode;
 use sds_bench::{f2, run_query_phase, Table};
 use sds_core::{ClientConfig, ClientNode, QueryOptions, ServiceConfig, ServiceNode};
 use sds_metrics::recall;
@@ -61,14 +61,7 @@ fn dht_recall(generalization_rate: f64, seed: u64) -> f64 {
     let mut sim: Sim<DiscoveryMessage> = Sim::new(SimConfig::default(), topo, seed);
     let members: Vec<NodeId> = (0..LANS as u32).map(NodeId).collect();
     for &lan in &lans {
-        sim.add_node(
-            lan,
-            Box::new(DhtNode::new(DhtConfig {
-                members: members.clone(),
-                beacon_interval: secs(5),
-                codec: Default::default(),
-            })),
-        );
+        sim.add_node(lan, Box::new(DhtNode::new(members.clone())));
     }
     let mut services = Vec::new();
     for (i, d) in w.descriptions.iter().enumerate() {

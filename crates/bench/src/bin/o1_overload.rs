@@ -46,15 +46,15 @@ const BASE_PER_LAN: u32 = 20;
 const SURGE: u32 = 10;
 /// Demand event spacing. Odd on purpose, twice over: bursts must not
 /// phase-lock with the 10 s renewal marks (residues drift 30 ms per mark),
-/// and the ~1 s gap keeps `retry_after`/backoff re-sends (0.4–1.5 s out)
+/// and the ~1 s gap keeps `Busy` retry-hint/backoff re-sends (0.4–1.5 s out)
 /// landing *between* bursts instead of on top of the next one.
 const INTERVAL: SimTime = 997;
 /// Modeled registry ingress: 1 delivery/ms, 32 waiting slots. A storm burst
 /// of ~200 queries per LAN overflows this ~6×, which is the whole point.
 const CAPACITY: NodeCapacity = NodeCapacity { ops_per_tick: 1, queue_limit: 32 };
 /// Software processing budget per 200 ms overload tick for the quick
-/// shape. Chosen so calm utilization sits well under `degrade_pct` while
-/// storm-tick processing (burst drain plus paced retries, ~36/tick) rides
+/// shape. Chosen so calm utilization sits well under the 70 % degrade band
+/// while storm-tick processing (burst drain plus paced retries, ~36/tick) rides
 /// the degrade/stale bands and crosses into the busy band at burst peaks
 /// without pinning there — pinned `Busy` would starve the very retries the
 /// hints schedule. The full shape doubles this (see `Shape::ops_budget`):
@@ -109,17 +109,7 @@ impl Shape {
 fn build(shape: &Shape, layered: bool) -> Scenario {
     let mut registry = RegistryConfig::default();
     if layered {
-        registry.overload = OverloadPolicy {
-            // An open-loop flash crowd parks the utilization EWMA far above
-            // 100%; the renewal threshold must sit above that plateau or the
-            // ladder would shed liveness traffic it exists to protect.
-            busy_renewal_pct: 1_000,
-            // Wide retry jitter: nacked clients re-arrive smeared across the
-            // inter-burst gap instead of forming a secondary burst that can
-            // land on a synchronized renewal wave.
-            retry_jitter: 380,
-            ..OverloadPolicy::standard(shape.ops_budget)
-        };
+        registry.overload = OverloadPolicy::standard(shape.ops_budget);
     }
     let mut cfg = ScenarioConfig {
         lans: shape.lans,

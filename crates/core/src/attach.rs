@@ -16,7 +16,9 @@ use std::collections::BTreeMap;
 use sds_protocol::{Codec, DiscoveryMessage, MaintenanceOp};
 use sds_simnet::{Ctx, Destination, NodeId, Rng, SimTime};
 
-use crate::config::{AttachConfig, Bootstrap};
+use crate::config::{
+    AttachConfig, Bootstrap, BEACON_TIMEOUT, HOME_PING_TOLERANCE, PROBE_DECISION_WINDOW, PROBE_RETRY,
+};
 use crate::util::{send_msg, tags};
 
 /// State change the host must react to.
@@ -77,7 +79,7 @@ impl RegistryAttachment {
         }
     }
 
-    /// Delay until the next discovery attempt. Fixed `probe_retry` cadence
+    /// Delay until the next discovery attempt. Fixed `PROBE_RETRY` cadence
     /// by default; capped exponential backoff with jitter when the opt-in
     /// retry policy is enabled.
     fn next_probe_delay(&mut self, ctx: &Ctx<'_, DiscoveryMessage>) -> SimTime {
@@ -87,7 +89,7 @@ impl RegistryAttachment {
             self.probe_failures = self.probe_failures.saturating_add(1);
             d
         } else {
-            self.cfg.probe_retry
+            PROBE_RETRY
         }
     }
 
@@ -107,7 +109,7 @@ impl RegistryAttachment {
         self.home.is_some()
             || self
                 .last_lan_registry_signal
-                .is_some_and(|t| now.saturating_sub(t) < self.cfg.beacon_timeout)
+                .is_some_and(|t| now.saturating_sub(t) < BEACON_TIMEOUT)
     }
 
     /// Starts (or restarts, after a crash) discovery. Returns an event when
@@ -126,7 +128,7 @@ impl RegistryAttachment {
         match self.cfg.bootstrap {
             Bootstrap::Multicast => {
                 self.send_probe(ctx);
-                ctx.set_timer(self.cfg.probe_retry, tags::PROBE);
+                ctx.set_timer(PROBE_RETRY, tags::PROBE);
                 None
             }
             Bootstrap::PassiveOnly => None,
@@ -172,9 +174,6 @@ impl RegistryAttachment {
                 self.last_lan_registry_signal = Some(ctx.now());
                 self.probe_failures = 0;
                 if self.home.is_none() {
-                    if self.cfg.probe_decision_window == 0 {
-                        return Some(self.attach(ctx, from));
-                    }
                     // Load-balanced selection: collect replies for a short
                     // window, then pick the least-loaded registry. One entry
                     // per registry: duplicated deliveries must not inflate
@@ -184,7 +183,7 @@ impl RegistryAttachment {
                     }
                     if !self.deciding {
                         self.deciding = true;
-                        ctx.set_timer(self.cfg.probe_decision_window, tags::PROBE_DECIDE);
+                        ctx.set_timer(PROBE_DECISION_WINDOW, tags::PROBE_DECIDE);
                     }
                 }
                 None
@@ -267,7 +266,7 @@ impl RegistryAttachment {
         }
         ctx.set_timer(self.cfg.ping_interval, tags::PING);
         let home = self.home?;
-        if self.unanswered_pings >= self.cfg.ping_tolerance {
+        if self.unanswered_pings >= HOME_PING_TOLERANCE {
             // Home registry presumed dead: drop it and fail over.
             self.candidates.remove(&home);
             self.home = None;

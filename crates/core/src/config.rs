@@ -8,7 +8,7 @@
 //! registry nodes to traverse for a query, and the advertisement lease
 //! period." — everything quoted there is a field below.
 
-use sds_protocol::{Codec, ModelId};
+use sds_protocol::Codec;
 use sds_simnet::{secs, NodeId, Rng, SimTime};
 
 /// Seeded jittered exponential backoff, shared by the self-healing layer:
@@ -51,14 +51,17 @@ impl RetryPolicy {
     }
 
     /// The delay before retry number `attempt` (0-based), jittered from the
-    /// caller's dedicated stream.
+    /// caller's dedicated stream. Doubling and jitter both saturate at
+    /// `SimTime::MAX` instead of wrapping.
     pub fn backoff(&self, attempt: u8, rng: &mut Rng) -> SimTime {
-        let exp = self
-            .base_backoff
-            .checked_shl(u32::from(attempt.min(32)))
-            .unwrap_or(SimTime::MAX)
-            .min(self.max_backoff.max(self.base_backoff));
-        exp + if self.jitter > 0 { rng.gen_range(0..=self.jitter) } else { 0 }
+        let exp = match self.base_backoff {
+            0 => 0,
+            // A shift loses no bits while it spans at most the leading zeros.
+            b if u32::from(attempt) <= b.leading_zeros() => b << attempt,
+            _ => SimTime::MAX,
+        };
+        let exp = exp.min(self.max_backoff.max(self.base_backoff));
+        exp.saturating_add(if self.jitter > 0 { rng.gen_range(0..=self.jitter) } else { 0 })
     }
 }
 
@@ -70,83 +73,66 @@ impl Default for RetryPolicy {
 
 /// Registry overload control: admission, backpressure, and graceful
 /// degradation. All thresholds compare against a **utilization EWMA** in
-/// integer percent: each `tick`, the registry folds the number of operations
-/// it handled into the average relative to `ops_budget` (the modeled number
-/// of operations one tick window can absorb). As utilization climbs the
-/// registry degrades answer *quality* before answer *availability*:
+/// integer percent: every `OVERLOAD_TICK_INTERVAL` (200 ms), the registry
+/// folds the number of operations it handled into the average relative to
+/// `ops_budget` (the modeled number of operations one tick window can
+/// absorb). As utilization climbs the registry degrades answer *quality*
+/// before answer *availability*:
 ///
-/// 1. `degrade_pct` — cap query responses at `degraded_max_responses` hits;
-/// 2. `stale_pct` — additionally serve slightly-stale query-cache entries
-///    (within `stale_slack` of lapse) and stop forwarding to the federation;
-/// 3. `busy_pct` — shed fresh queries with an explicit
+/// 1. `DEGRADE_PCT` — cap query responses at `DEGRADED_MAX_RESPONSES` hits;
+/// 2. `STALE_PCT` — additionally serve slightly-stale query-cache entries
+///    (within `STALE_SLACK` of lapse) and stop forwarding to the
+///    federation;
+/// 3. `BUSY_PCT` — shed fresh queries with an explicit
 ///    [`sds_protocol::MaintenanceOp::Busy`] nack carrying a jittered
-///    `retry_after_ms` hint (never a silent drop);
+///    retry hint (never a silent drop);
 /// 4. `busy_renewal_pct` — only above this (deliberately higher) watermark
 ///    are lease renewals and publishes nacked too: liveness traffic is the
 ///    last thing shed.
 ///
-/// The default is **disabled** (`tick == 0`): no timer runs, no counters are
-/// consulted, and runs are byte-identical to the pre-overload behaviour.
-/// Retry-after jitter comes from a dedicated derived RNG stream, so enabling
-/// the policy never perturbs other streams.
+/// The default is **disabled** (`ops_budget == 0`): no timer runs, no
+/// counters are consulted, and runs are byte-identical to the pre-overload
+/// behaviour. Retry-after jitter comes from a dedicated derived RNG stream,
+/// so enabling the policy never perturbs other streams.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct OverloadPolicy {
-    /// EWMA/shedding evaluation period. 0 disables the whole machinery.
-    pub tick: SimTime,
     /// Modeled operations one tick window can absorb at 100% utilization.
+    /// 0 disables the whole machinery.
     pub ops_budget: u32,
-    /// EWMA weight of the newest sample, in percent (1..=100).
-    pub ewma_alpha_pct: u8,
-    /// Utilization % at which responses are capped at
-    /// `degraded_max_responses`.
-    pub degrade_pct: u16,
-    /// Utilization % at which stale cache service starts and federation
-    /// forwarding stops.
-    pub stale_pct: u16,
-    /// Utilization % at which fresh queries are nacked with `Busy`.
-    pub busy_pct: u16,
     /// Utilization % at which even renewals/publishes are nacked. Keep this
-    /// well above `busy_pct` so liveness traffic survives ordinary storms.
+    /// well above `BUSY_PCT` so liveness traffic survives ordinary storms.
     pub busy_renewal_pct: u16,
-    /// Base retry hint carried by `Busy` nacks.
-    pub retry_after: SimTime,
-    /// Uniform extra jitter in `[0, retry_jitter]` added to every hint, so a
-    /// shed flash crowd does not re-arrive in phase.
+    /// Uniform extra jitter in `[0, retry_jitter]` added to every
+    /// `RETRY_AFTER` hint, so a shed flash crowd does not re-arrive in
+    /// phase.
     pub retry_jitter: SimTime,
-    /// Response cap applied in the degraded band.
-    pub degraded_max_responses: u16,
-    /// How far past lapse a query-cache entry may still be served while in
-    /// the stale band.
-    pub stale_slack: SimTime,
 }
 
 impl OverloadPolicy {
     /// Overload control off: the pre-overload behaviour, byte-for-byte.
     pub fn disabled() -> Self {
-        Self {
-            tick: 0,
-            ops_budget: 0,
-            ewma_alpha_pct: 30,
-            degrade_pct: 70,
-            stale_pct: 85,
-            busy_pct: 95,
-            busy_renewal_pct: 130,
-            retry_after: 400,
-            retry_jitter: 200,
-            degraded_max_responses: 4,
-            stale_slack: secs(2),
-        }
+        Self::standard(0)
     }
 
     /// Recommended enabled policy for a registry that can absorb
     /// `ops_budget` operations per 200 ms window.
     pub fn standard(ops_budget: u32) -> Self {
-        Self { tick: 200, ops_budget, ..Self::disabled() }
+        Self {
+            ops_budget,
+            // An open-loop flash crowd parks the utilization EWMA far above
+            // 100%; the renewal threshold must sit above that plateau or the
+            // ladder would shed liveness traffic it exists to protect.
+            busy_renewal_pct: 1_000,
+            // Wide retry jitter: nacked clients re-arrive smeared across the
+            // gap between bursts instead of forming a secondary burst that
+            // can land on a synchronized renewal wave.
+            retry_jitter: 380,
+        }
     }
 
     /// Whether the overload machinery runs at all.
     pub fn enabled(&self) -> bool {
-        self.tick > 0 && self.ops_budget > 0
+        self.ops_budget > 0
     }
 }
 
@@ -196,23 +182,10 @@ pub enum Bootstrap {
 #[derive(Clone, Debug)]
 pub struct AttachConfig {
     pub bootstrap: Bootstrap,
-    /// Re-probe interval while unattached.
-    pub probe_retry: SimTime,
     /// Home-registry liveness checking interval (0 disables pinging).
     pub ping_interval: SimTime,
-    /// Missed pongs before declaring the home registry dead and failing
-    /// over.
-    pub ping_tolerance: u8,
-    /// Without a beacon for this long, a LAN is considered registry-less
-    /// (gates the decentralized fallback).
-    pub beacon_timeout: SimTime,
-    /// After an active probe, wait this long collecting replies and attach
-    /// to the least-loaded registry ("by assigning clients to registries in
-    /// an even distribution, load balancing could be obtained"). 0 attaches
-    /// to the first reply.
-    pub probe_decision_window: SimTime,
     /// Opt-in re-attach backoff. When enabled, a detached node re-probes
-    /// under this policy instead of the fixed `probe_retry` cadence, and a
+    /// under this policy instead of the fixed `PROBE_RETRY` cadence, and a
     /// `Bootstrap::Static` node keeps retrying its configured endpoint
     /// after a failover instead of staying detached forever. Off by
     /// default: backoff would change probe timing on registry-less LANs
@@ -222,23 +195,34 @@ pub struct AttachConfig {
 
 impl Default for AttachConfig {
     fn default() -> Self {
-        Self {
-            bootstrap: Bootstrap::Multicast,
-            probe_retry: secs(2),
-            ping_interval: secs(5),
-            ping_tolerance: 2,
-            beacon_timeout: secs(12),
-            probe_decision_window: 300,
-            retry: RetryPolicy::passive(),
-        }
+        Self { bootstrap: Bootstrap::Multicast, ping_interval: secs(5), retry: RetryPolicy::passive() }
     }
 }
 
+/// Re-probe interval of an unattached client or service.
+pub(crate) const PROBE_RETRY: SimTime = secs(2);
+/// Missed pongs before a client or service declares its home registry dead
+/// and fails over.
+pub(crate) const HOME_PING_TOLERANCE: u8 = 2;
+/// Without a registry signal for this long, a LAN is considered
+/// registry-less (gates the decentralized fallback).
+pub(crate) const BEACON_TIMEOUT: SimTime = secs(12);
+/// After an active probe, wait this long collecting replies and attach to
+/// the least-loaded registry ("by assigning clients to registries in an
+/// even distribution, load balancing could be obtained").
+pub(crate) const PROBE_DECISION_WINDOW: SimTime = 300;
+
 /// How often a registry purges expired adverts and subscriptions.
 pub(crate) const PURGE_INTERVAL: SimTime = secs(1);
+/// Federation peer liveness ping period; a registry with no peers re-joins
+/// its seeds every second period.
+pub(crate) const PEER_PING_INTERVAL: SimTime = secs(5);
 /// Missed pongs before a federation peer is dropped (or, with
 /// [`RegistryConfig::probation`] enabled, suspected).
 pub(crate) const PEER_PING_TOLERANCE: u8 = 2;
+/// Cap on peer endpoints carried by `FederationJoin`/`FederationAck`
+/// gossip, so peer-list payloads stay bounded on large federations.
+pub(crate) const GOSSIP_PEER_CAP: usize = 64;
 /// Retention for the query-id loop-avoidance cache.
 pub(crate) const SEEN_RETENTION: SimTime = secs(30);
 /// Digest buckets per anti-entropy round. More buckets mean finer mismatch
@@ -252,6 +236,26 @@ pub(crate) const QUERY_CACHE_CAPACITY: usize = 128;
 /// How often the query cache sweeps out entries whose validity lapsed.
 pub(crate) const CACHE_SWEEP_INTERVAL: SimTime = secs(5);
 
+/// Overload EWMA evaluation period (see [`OverloadPolicy`]).
+pub(crate) const OVERLOAD_TICK_INTERVAL: SimTime = 200;
+/// EWMA weight of the newest utilization sample, in percent (1..=100).
+pub(crate) const EWMA_ALPHA_PCT: u8 = 30;
+/// Utilization % at which responses are capped at
+/// `DEGRADED_MAX_RESPONSES`.
+pub(crate) const DEGRADE_PCT: u16 = 70;
+/// Utilization % at which stale cache service starts and federation
+/// forwarding stops.
+pub(crate) const STALE_PCT: u16 = 85;
+/// Utilization % at which fresh queries are nacked with `Busy`.
+pub(crate) const BUSY_PCT: u16 = 95;
+/// Base retry hint carried by `Busy` nacks.
+pub(crate) const RETRY_AFTER: SimTime = 400;
+/// Response cap applied in the degraded band.
+pub(crate) const DEGRADED_MAX_RESPONSES: u16 = 4;
+/// How far past lapse a query-cache entry may still be served while in the
+/// stale band.
+pub(crate) const STALE_SLACK: SimTime = secs(2);
+
 /// Registry-node parameters.
 #[derive(Clone, Debug)]
 pub struct RegistryConfig {
@@ -260,8 +264,6 @@ pub struct RegistryConfig {
     /// WAN federation seed registries ("manual configuration, or seeding, is
     /// necessary at some point in time").
     pub seeds: Vec<NodeId>,
-    /// Peer liveness ping period.
-    pub peer_ping_interval: SimTime,
     /// Peer probation policy. When enabled, a peer that exhausts
     /// [`PEER_PING_TOLERANCE`] is *suspected* rather than evicted: it leaves
     /// the forwarding set but is re-pinged under this backoff policy, and
@@ -291,14 +293,9 @@ pub struct RegistryConfig {
     /// queries hit locally at every registry at O(divergence) wire cost,
     /// converging through loss and partitions.
     pub sync_interval: SimTime,
-    /// Cap on peer endpoints carried by `FederationJoin`/`FederationAck`
-    /// gossip, so peer-list payloads stay bounded on large federations.
-    pub gossip_peer_cap: usize,
     /// Overload control: admission, backpressure, and graceful degradation.
     /// Disabled by default; see [`OverloadPolicy`].
     pub overload: OverloadPolicy,
-    /// Which description models this registry can evaluate.
-    pub models: Vec<ModelId>,
     /// Requested advertisement lease period granted to publishers is decided
     /// by the registry's [`sds_registry::LeasePolicy`]; this is it.
     pub lease_policy: sds_registry::LeasePolicy,
@@ -311,7 +308,6 @@ impl Default for RegistryConfig {
         Self {
             beacon_interval: secs(5),
             seeds: Vec::new(),
-            peer_ping_interval: secs(5),
             probation: RetryPolicy::passive(),
             signaling_interval: secs(15),
             strategy: ForwardStrategy::default(),
@@ -319,9 +315,7 @@ impl Default for RegistryConfig {
             gateway_election: true,
             transitive_peering: true,
             sync_interval: secs(10),
-            gossip_peer_cap: 64,
             overload: OverloadPolicy::disabled(),
-            models: vec![ModelId::Uri, ModelId::Template, ModelId::Semantic],
             lease_policy: sds_registry::LeasePolicy::default(),
             codec: Codec::default(),
         }
@@ -440,7 +434,7 @@ mod tests {
         assert!(q.timeout > r.response_window, "client must outwait aggregation");
         // Anti-entropy on by default, with sane digest geometry.
         assert!(r.sync_interval > 0);
-        assert!(r.gossip_peer_cap > 0, "a zero cap would break federation joins");
+        const { assert!(GOSSIP_PEER_CAP > 0, "a zero cap would break federation joins") };
         // Self-healing defaults off: the pre-PR behaviour is the default.
         assert!(!ClientConfig::default().retry.enabled());
         assert!(!ServiceConfig::default().retry.enabled());
@@ -448,14 +442,18 @@ mod tests {
         assert!(!AttachConfig::default().retry.enabled());
         // Overload control defaults off, and its thresholds form a ladder:
         // degrade before stale, stale before busy, renewals shed last.
-        let o = RegistryConfig::default().overload;
-        assert!(!o.enabled());
-        assert!(o.degrade_pct < o.stale_pct);
-        assert!(o.stale_pct < o.busy_pct);
-        assert!(o.busy_pct < o.busy_renewal_pct, "liveness traffic must shed last");
-        assert!((1..=100).contains(&o.ewma_alpha_pct));
-        let std = OverloadPolicy::standard(500);
-        assert!(std.enabled());
+        assert!(!RegistryConfig::default().overload.enabled());
+        const { assert!(DEGRADE_PCT < STALE_PCT) };
+        const { assert!(STALE_PCT < BUSY_PCT) };
+        const { assert!(EWMA_ALPHA_PCT >= 1 && EWMA_ALPHA_PCT <= 100) };
+        for budget in [1, 30, 500] {
+            let std = OverloadPolicy::standard(budget);
+            assert!(std.enabled());
+            assert!(BUSY_PCT < std.busy_renewal_pct, "liveness traffic must shed last");
+            // The benchmark's flash-crowd world spells out these two values;
+            // they are exactly the preset.
+            assert_eq!(OverloadPolicy { busy_renewal_pct: 1_000, retry_jitter: 380, ..std }, std);
+        }
         assert_eq!(ClientConfig::default().hedge_after_busy, 0);
     }
 
@@ -476,5 +474,21 @@ mod tests {
             let base = p.backoff(attempt, &mut rng);
             assert!((base..=base + 300).contains(&d), "jitter out of range: {d} vs {base}");
         }
+        // Bases whose doubling overflows 64 bits saturate instead of losing
+        // their high bits, and so does the jitter added on top.
+        let huge = RetryPolicy { base_backoff: 1 << 40, max_backoff: SimTime::MAX, ..p };
+        assert_eq!(huge.backoff(23, &mut rng), 1 << 63);
+        assert_eq!(huge.backoff(24, &mut rng), SimTime::MAX);
+        assert_eq!(huge.backoff(30, &mut rng), SimTime::MAX);
+        let wide = RetryPolicy { base_backoff: 1 << 32, max_backoff: SimTime::MAX, ..p };
+        assert_eq!(wide.backoff(32, &mut rng), SimTime::MAX);
+        assert_eq!(wide.backoff(255, &mut rng), SimTime::MAX);
+        let jittered = RetryPolicy { jitter: 300, ..huge };
+        for attempt in [24, 30, 255] {
+            assert_eq!(jittered.backoff(attempt, &mut rng), SimTime::MAX);
+        }
+        let from_one = RetryPolicy { base_backoff: 1, max_backoff: SimTime::MAX, ..p };
+        assert_eq!(from_one.backoff(63, &mut rng), 1 << 63);
+        assert_eq!(from_one.backoff(64, &mut rng), SimTime::MAX);
     }
 }

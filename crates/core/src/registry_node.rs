@@ -27,7 +27,7 @@ use std::rc::Rc;
 use std::sync::Arc;
 
 use sds_protocol::{
-    Advertisement, Description, DiscoveryMessage, MaintenanceOp, ModelId, Operation, PublishOp,
+    Advertisement, Description, DiscoveryMessage, MaintenanceOp, Operation, PublishOp,
     QueryId, QueryMessage, QueryOp, QueryPayload, ResponseHit, SharedAdvert, SyncEntry, Uuid,
     WireSize,
 };
@@ -41,8 +41,10 @@ use sds_simnet::{
 };
 
 use crate::config::{
-    ForwardStrategy, RegistryConfig, CACHE_SWEEP_INTERVAL, PEER_PING_TOLERANCE, PURGE_INTERVAL,
-    QUERY_CACHE_CAPACITY, SEEN_RETENTION, SYNC_BUCKETS,
+    ForwardStrategy, RegistryConfig, BUSY_PCT, CACHE_SWEEP_INTERVAL, DEGRADED_MAX_RESPONSES,
+    DEGRADE_PCT, EWMA_ALPHA_PCT, GOSSIP_PEER_CAP, OVERLOAD_TICK_INTERVAL, PEER_PING_INTERVAL,
+    PEER_PING_TOLERANCE, PURGE_INTERVAL, QUERY_CACHE_CAPACITY, RETRY_AFTER, SEEN_RETENTION,
+    STALE_PCT, STALE_SLACK, SYNC_BUCKETS,
 };
 use crate::util::{send_fanout_msg, send_msg, tags};
 
@@ -142,20 +144,20 @@ pub struct RegistryNodeStats {
     /// Wire bytes avoided by delta-encoding adverts against the version the
     /// peer last acknowledged (full entry size minus the fixed delta size).
     pub bytes_saved: u64,
-    /// Fresh client queries refused with a `Busy` nack above `busy_pct`.
+    /// Fresh client queries refused with a `Busy` nack above `BUSY_PCT`.
     pub busy_nacks: u64,
     /// Publishes/renewals refused with a `Busy` nack above
     /// `busy_renewal_pct` — nonzero only in the deepest overload band.
     pub renewal_busy_nacks: u64,
     /// Adopted queries whose response budget was tightened to
-    /// `degraded_max_responses` in the degraded band.
+    /// `DEGRADED_MAX_RESPONSES` in the degraded band.
     pub responses_capped: u64,
     /// Queries answered from a lapsed-but-within-slack cache entry.
     pub stale_served: u64,
     /// Adoptions whose federation forwarding was suppressed in the stale
     /// band (answered from local knowledge only).
     pub forwards_suppressed: u64,
-    /// Inbound federation-forwarded queries silently shed above `busy_pct`
+    /// Inbound federation-forwarded queries silently shed above `BUSY_PCT`
     /// (the origin's own registry still answers from local knowledge).
     pub federation_shed: u64,
     /// `QueryRetry` attempts whose root query had already been admitted.
@@ -243,16 +245,10 @@ impl RegistryNode {
 
     fn fresh_engine(cfg: &RegistryConfig, idx: &Option<Arc<SubsumptionIndex>>) -> ShardedEngine {
         let mut engine = ShardedEngine::new(cfg.lease_policy, 1, idx.as_deref());
-        for model in &cfg.models {
-            match model {
-                ModelId::Uri => engine.register_evaluator(Box::new(UriEvaluator)),
-                ModelId::Template => engine.register_evaluator(Box::new(TemplateEvaluator)),
-                ModelId::Semantic => {
-                    if let Some(idx) = idx {
-                        engine.register_evaluator(Box::new(SemanticEvaluator::new(idx.clone())));
-                    }
-                }
-            }
+        engine.register_evaluator(Box::new(UriEvaluator));
+        engine.register_evaluator(Box::new(TemplateEvaluator));
+        if let Some(idx) = idx {
+            engine.register_evaluator(Box::new(SemanticEvaluator::new(idx.clone())));
         }
         engine
     }
@@ -302,13 +298,13 @@ impl RegistryNode {
     /// jittered retry hint — backpressure, never a silent drop. Jitter
     /// de-phases the shed crowd's re-arrival.
     fn send_busy(&mut self, ctx: &mut Ctx<'_, DiscoveryMessage>, to: NodeId) {
-        let pol = self.cfg.overload;
+        let jitter_max = self.cfg.overload.retry_jitter;
         let rng = self
             .overload
             .rng
             .get_or_insert_with(|| ctx.derive_rng("core.registry.overload"));
-        let jitter = if pol.retry_jitter > 0 { rng.gen_range(0..=pol.retry_jitter) } else { 0 };
-        let retry_after_ms = pol.retry_after.saturating_add(jitter);
+        let jitter = if jitter_max > 0 { rng.gen_range(0..=jitter_max) } else { 0 };
+        let retry_after_ms = RETRY_AFTER.saturating_add(jitter);
         send_msg(
             ctx,
             self.cfg.codec,
@@ -349,14 +345,14 @@ impl RegistryNode {
     /// / `FederationAck::peers`) toward `recipient`: sorted and unique (the
     /// peer map's key order), never naming the recipient or the sender (the
     /// receiver learns the sender from the message itself), and capped at
-    /// `gossip_peer_cap` so each gossip payload stays O(cap) instead of
+    /// `GOSSIP_PEER_CAP` so each gossip payload stays O(cap) instead of
     /// O(federation).
     fn gossip_peer_list(&self, recipient: NodeId) -> Vec<NodeId> {
         self.peers
             .keys()
             .copied()
             .filter(|&p| p != recipient)
-            .take(self.cfg.gossip_peer_cap)
+            .take(GOSSIP_PEER_CAP)
             .collect()
     }
 
@@ -679,13 +675,11 @@ impl RegistryNode {
         mut query: QueryMessage,
     ) {
         self.stats.queries_adopted += 1;
-        let pol = self.cfg.overload;
         // Degraded band: tighten the budget before evaluation, so the cache
         // key, ranking truncation, and any federation forwards all see it.
-        if self.above(pol.degrade_pct) {
-            let capped = query.max_responses.map_or(pol.degraded_max_responses, |m| {
-                m.min(pol.degraded_max_responses)
-            });
+        if self.above(DEGRADE_PCT) {
+            let capped =
+                query.max_responses.map_or(DEGRADED_MAX_RESPONSES, |m| m.min(DEGRADED_MAX_RESPONSES));
             if query.max_responses != Some(capped) {
                 query.max_responses = Some(capped);
                 self.stats.responses_capped += 1;
@@ -693,10 +687,10 @@ impl RegistryNode {
         }
         // Stale band: serve a slightly-lapsed cached answer as is — no
         // evaluation, no federation — while this close to saturation.
-        if self.above(pol.stale_pct) {
+        if self.above(STALE_PCT) {
             let key = cache_key(&query.payload, query.max_responses);
             let stale =
-                self.query_cache.get_stale(&key, ctx.now(), pol.stale_slack).map(<[_]>::to_vec);
+                self.query_cache.get_stale(&key, ctx.now(), STALE_SLACK).map(<[_]>::to_vec);
             if let Some(hits) = stale {
                 self.stats.stale_served += 1;
                 self.respond(ctx, from, query.id, query.max_responses, hits);
@@ -718,7 +712,7 @@ impl RegistryNode {
         };
         // Stale band: keep the query off the federation even on a cache
         // miss; local knowledge is the whole answer.
-        let targets = if self.above(pol.stale_pct) && !targets.is_empty() {
+        let targets = if self.above(STALE_PCT) && !targets.is_empty() {
             self.stats.forwards_suppressed += 1;
             Vec::new()
         } else {
@@ -1327,7 +1321,7 @@ impl RegistryNode {
         // Overload admission runs before duplicate tracking: a shed query
         // must not be marked seen, or its later `QueryRetry` would dedup
         // against an attempt that was never processed.
-        if self.above(self.cfg.overload.busy_pct) {
+        if self.above(BUSY_PCT) {
             match query.reply_to {
                 Some(aggregator) if root.is_none() && aggregator != ctx.node() => {
                     // A federation forward: the origin's registry still
@@ -1482,8 +1476,8 @@ impl NodeHandler<DiscoveryMessage> for RegistryNode {
         if !self.cfg.seeds.is_empty() {
             self.join_seeds(ctx);
         }
-        ctx.set_timer(self.cfg.peer_ping_interval, tags::SEED_RETRY);
-        ctx.set_timer(self.cfg.peer_ping_interval, tags::PEER_PING);
+        ctx.set_timer(PEER_PING_INTERVAL, tags::SEED_RETRY);
+        ctx.set_timer(PEER_PING_INTERVAL, tags::PEER_PING);
         if self.cfg.signaling_interval > 0 {
             ctx.set_timer(self.cfg.signaling_interval, tags::SIGNALING);
         }
@@ -1496,7 +1490,7 @@ impl NodeHandler<DiscoveryMessage> for RegistryNode {
         self.overload.ops_in_window = 0;
         self.overload.util_pct = 0;
         if self.cfg.overload.enabled() {
-            ctx.set_timer(self.cfg.overload.tick, tags::OVERLOAD_TICK);
+            ctx.set_timer(OVERLOAD_TICK_INTERVAL, tags::OVERLOAD_TICK);
         }
     }
 
@@ -1594,7 +1588,7 @@ impl NodeHandler<DiscoveryMessage> for RegistryNode {
                         DiscoveryMessage::maintenance(MaintenanceOp::Ping),
                     );
                 }
-                ctx.set_timer(self.cfg.peer_ping_interval, tags::PEER_PING);
+                ctx.set_timer(PEER_PING_INTERVAL, tags::PEER_PING);
             }
             tags::SIGNALING => {
                 // Gossip the peer list and a summary to one random peer.
@@ -1645,16 +1639,15 @@ impl NodeHandler<DiscoveryMessage> for RegistryNode {
             tags::OVERLOAD_TICK => {
                 // Fold the window's ops count into the utilization EWMA
                 // (integer percent of the modeled per-window budget).
-                let pol = self.cfg.overload;
                 let sample = (self.overload.ops_in_window.saturating_mul(100)
-                    / u64::from(pol.ops_budget.max(1)))
+                    / u64::from(self.cfg.overload.ops_budget))
                 .min(u64::from(u32::MAX)) as u32;
                 self.overload.ops_in_window = 0;
-                let alpha = u64::from(pol.ewma_alpha_pct.min(100));
+                let alpha = u64::from(EWMA_ALPHA_PCT);
                 self.overload.util_pct = ((alpha * u64::from(sample)
                     + (100 - alpha) * u64::from(self.overload.util_pct))
                     / 100) as u32;
-                ctx.set_timer(pol.tick, tags::OVERLOAD_TICK);
+                ctx.set_timer(OVERLOAD_TICK_INTERVAL, tags::OVERLOAD_TICK);
             }
             tags::SEED_RETRY => {
                 if self.peers.is_empty() {
@@ -1674,7 +1667,7 @@ impl NodeHandler<DiscoveryMessage> for RegistryNode {
                         );
                     }
                 }
-                ctx.set_timer(self.cfg.peer_ping_interval.saturating_mul(2), tags::SEED_RETRY);
+                ctx.set_timer(PEER_PING_INTERVAL.saturating_mul(2), tags::SEED_RETRY);
             }
             t => {
                 if let Some(seq) = tags::seq_of(t, tags::AGG_BASE) {
@@ -1738,7 +1731,7 @@ mod tests {
     #[test]
     fn a_query_shed_by_reference_is_not_seen_so_its_retry_is_adopted() {
         let (mut sim, r) = world();
-        let busy = u32::from(OverloadPolicy::standard(100).busy_pct);
+        let busy = u32::from(BUSY_PCT);
         set_util(&mut sim, r, busy);
         deliver(&mut sim, r, CLIENT, QueryOp::Query(query(1, None)), true);
         deliver(&mut sim, r, PEER, QueryOp::Query(query(3, Some(AGGREGATOR))), true);

@@ -17,16 +17,12 @@ fn two_lan_sim() -> (Sim<DiscoveryMessage>, sds_simnet::LanId, sds_simnet::LanId
 }
 
 /// Satellite regression: `FederationJoin::known_peers` and
-/// `FederationAck::peers` are capped at `gossip_peer_cap`, deduplicated, and
+/// `FederationAck::peers` are capped at 64 peers, deduplicated, and
 /// never name the recipient — a 256-peer view must not gossip 256 ids.
 #[test]
 fn gossip_peer_lists_are_capped_at_256_peers() {
     let (mut sim, lan0, lan1) = two_lan_sim();
-    let quiet = RegistryConfig {
-        signaling_interval: 0,
-        peer_ping_interval: secs(120),
-        ..Default::default()
-    };
+    let quiet = RegistryConfig { signaling_interval: 0, ..Default::default() };
     let r_joiner = sim.add_node(lan0, Box::new(RegistryNode::new(quiet.clone(), None)));
     let r_seed = sim.add_node(lan1, Box::new(RegistryNode::new(quiet.clone(), None)));
     sim.run_until(secs(1));
@@ -51,7 +47,8 @@ fn gossip_peer_lists_are_capped_at_256_peers() {
     assert_eq!(joiner.peer_ids().len(), 257, "joiner ingested the full view");
     // The seed learned the joiner plus a capped slice of its view — not all
     // 256 fakes. (transitive_peering ingests whatever the payload carried.)
-    let cap = RegistryConfig::default().gossip_peer_cap;
+    // `GOSSIP_PEER_CAP` in the core crate's config.
+    let cap = 64;
     let seed_peers = sim.handler::<RegistryNode>(r_seed).unwrap().peer_ids();
     assert!(
         seed_peers.len() <= cap + 1,

@@ -74,13 +74,9 @@ fn soak(seed: u64, retry: RetryPolicy) -> (OverloadSoakOutcome, Scenario) {
         retry: Some(retry),
         ..Default::default()
     };
-    cfg.registry.overload = OverloadPolicy {
-        // The soak's open-loop storm parks the EWMA far above 100%; renewals
-        // must stay priced out of shedding (that is the invariant under test).
-        busy_renewal_pct: 1_000,
-        retry_jitter: 380,
-        ..OverloadPolicy::standard(30)
-    };
+    // The soak's open-loop storm parks the EWMA far above 100%; the standard
+    // policy prices renewals out of shedding (the invariant under test).
+    cfg.registry.overload = OverloadPolicy::standard(30);
     // Synchronized client/service ping waves would contend with the bounded
     // ingress queue; registry beacons cover home liveness.
     cfg.client.attach.ping_interval = 0;
