@@ -1640,7 +1640,7 @@ impl NodeHandler<DiscoveryMessage> for RegistryNode {
                 // Fold the window's ops count into the utilization EWMA
                 // (integer percent of the modeled per-window budget).
                 let sample = (self.overload.ops_in_window.saturating_mul(100)
-                    / u64::from(self.cfg.overload.ops_budget))
+                    / u64::from(self.cfg.overload.ops_budget.max(1)))
                 .min(u64::from(u32::MAX)) as u32;
                 self.overload.ops_in_window = 0;
                 let alpha = u64::from(EWMA_ALPHA_PCT);

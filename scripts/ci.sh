@@ -49,6 +49,9 @@ scripts/bench_compare.sh bench-results/7b0e6ff-seed7331.results \
 # cache-coherent write per store operation) declares nothing: every frame,
 # draw and count must compare equal as recorded.
 scripts/bench_compare.sh bench-results/f175291.results bench-results/pr37.results > /dev/null
+# Deleting the unexercised baselines and turning one-valued config fields
+# into constants declares nothing either: every seed-exact value must be equal.
+scripts/bench_compare.sh bench-results/27304cc.results bench-results/pr40.results > /dev/null
 
 # Bounded chaos soak (quick mode): fixed 8-seed sweep of combined churn +
 # fault injection with post-heal convergence invariants. Deterministic, so
