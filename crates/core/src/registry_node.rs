@@ -41,10 +41,9 @@ use sds_simnet::{
 };
 
 use crate::config::{
-    ForwardStrategy, RegistryConfig, BUSY_PCT, CACHE_SWEEP_INTERVAL, DEGRADED_MAX_RESPONSES,
-    DEGRADE_PCT, EWMA_ALPHA_PCT, GOSSIP_PEER_CAP, OVERLOAD_TICK_INTERVAL, PEER_PING_INTERVAL,
-    PEER_PING_TOLERANCE, PURGE_INTERVAL, QUERY_CACHE_CAPACITY, RETRY_AFTER, SEEN_RETENTION,
-    STALE_PCT, STALE_SLACK, SYNC_BUCKETS,
+    ForwardStrategy, RegistryConfig, BUSY_PCT, CACHE_SWEEP_INTERVAL, EWMA_ALPHA_PCT,
+    GOSSIP_PEER_CAP, OVERLOAD_TICK_INTERVAL, PEER_PING_INTERVAL, PEER_PING_TOLERANCE,
+    PURGE_INTERVAL, QUERY_CACHE_CAPACITY, RETRY_AFTER, SEEN_RETENTION, SYNC_BUCKETS,
 };
 use crate::util::{send_fanout_msg, send_msg, tags};
 
@@ -149,13 +148,11 @@ pub struct RegistryNodeStats {
     /// Publishes/renewals refused with a `Busy` nack above
     /// `busy_renewal_pct` — nonzero only in the deepest overload band.
     pub renewal_busy_nacks: u64,
-    /// Adopted queries whose response budget was tightened to
-    /// `DEGRADED_MAX_RESPONSES` in the degraded band.
+    /// Always 0; kept only until a `[benchmark]` PR drops its row.
     pub responses_capped: u64,
-    /// Queries answered from a lapsed-but-within-slack cache entry.
+    /// Always 0; kept only until a `[benchmark]` PR drops its row.
     pub stale_served: u64,
-    /// Adoptions whose federation forwarding was suppressed in the stale
-    /// band (answered from local knowledge only).
+    /// Always 0; kept only until a `[benchmark]` PR drops its row.
     pub forwards_suppressed: u64,
     /// Inbound federation-forwarded queries silently shed above `BUSY_PCT`
     /// (the origin's own registry still answers from local knowledge).
@@ -663,40 +660,14 @@ impl RegistryNode {
     }
 
     /// Adopts a client query: evaluate locally, then either answer at once
-    /// or aggregate federation responses within the response window. Under
-    /// overload the answer degrades before availability does: the response
-    /// budget is capped in the degraded band, and in the stale band a
-    /// lapsed-but-within-slack cached answer short-circuits evaluation and
-    /// federation entirely.
+    /// or aggregate federation responses within the response window.
     fn adopt_query(
         &mut self,
         ctx: &mut Ctx<'_, DiscoveryMessage>,
         from: NodeId,
-        mut query: QueryMessage,
+        query: QueryMessage,
     ) {
         self.stats.queries_adopted += 1;
-        // Degraded band: tighten the budget before evaluation, so the cache
-        // key, ranking truncation, and any federation forwards all see it.
-        if self.above(DEGRADE_PCT) {
-            let capped =
-                query.max_responses.map_or(DEGRADED_MAX_RESPONSES, |m| m.min(DEGRADED_MAX_RESPONSES));
-            if query.max_responses != Some(capped) {
-                query.max_responses = Some(capped);
-                self.stats.responses_capped += 1;
-            }
-        }
-        // Stale band: serve a slightly-lapsed cached answer as is — no
-        // evaluation, no federation — while this close to saturation.
-        if self.above(STALE_PCT) {
-            let key = cache_key(&query.payload, query.max_responses);
-            let stale =
-                self.query_cache.get_stale(&key, ctx.now(), STALE_SLACK).map(<[_]>::to_vec);
-            if let Some(hits) = stale {
-                self.stats.stale_served += 1;
-                self.respond(ctx, from, query.id, query.max_responses, hits);
-                return;
-            }
-        }
         let local_hits = self.cached_evaluate(&query, ctx.now());
 
         let gateway = self.gateway(ctx);
@@ -709,14 +680,6 @@ impl RegistryNode {
             (vec![gateway], ttl)
         } else {
             (Vec::new(), 0)
-        };
-        // Stale band: keep the query off the federation even on a cache
-        // miss; local knowledge is the whole answer.
-        let targets = if self.above(STALE_PCT) && !targets.is_empty() {
-            self.stats.forwards_suppressed += 1;
-            Vec::new()
-        } else {
-            targets
         };
 
         if targets.is_empty() {
@@ -1220,8 +1183,8 @@ impl RegistryNode {
     fn on_publishing(&mut self, ctx: &mut Ctx<'_, DiscoveryMessage>, from: NodeId, op: PublishOp) {
         // The publishing surface (lease renewals included) is liveness-class
         // traffic: it sheds only above `busy_renewal_pct`, a deliberately
-        // higher watermark than the query threshold, so degradation consumes
-        // answer quality first and provider liveness last.
+        // higher watermark than the query threshold, so queries are shed
+        // first and provider liveness last.
         if self.above(self.cfg.overload.busy_renewal_pct)
             && matches!(
                 op,
@@ -1801,18 +1764,35 @@ mod tests {
 
     impl Coherence {
         fn new() -> Self {
+            Self::with(RegistryConfig::default())
+        }
+
+        /// The same world with overload control on, so a test can pin the
+        /// utilization its queries arrive at.
+        fn overloaded() -> Self {
+            Self::with(RegistryConfig {
+                overload: OverloadPolicy::standard(100),
+                ..RegistryConfig::default()
+            })
+        }
+
+        fn with(cfg: RegistryConfig) -> Self {
             let mut topo = Topology::new();
             let lan = topo.add_lan();
             let mut sim = Sim::new(SimConfig::default(), topo, 1);
-            let registry = sim.add_node(lan, Box::new(RegistryNode::new(RegistryConfig::default(), None)));
+            let registry = sim.add_node(lan, Box::new(RegistryNode::new(cfg, None)));
             let client = sim.add_node(lan, Box::new(Sink::default()));
             let peer = sim.add_node(lan, Box::new(Sink::default()));
             Self { sim, registry, client, peer, next_seq: 0 }
         }
 
         fn advert(&self, uri: &str, version: u32) -> SharedAdvert {
+            self.advert_as(ADVERT, uri, version)
+        }
+
+        fn advert_as(&self, id: Uuid, uri: &str, version: u32) -> SharedAdvert {
             SharedAdvert::from(Advertisement {
-                id: ADVERT,
+                id,
                 provider: self.client,
                 description: Description::Uri(uri.into()),
                 version,
@@ -1833,6 +1813,12 @@ mod tests {
         /// Asks the client's next URI query at `at` and returns the ids the
         /// registry answered with.
         fn ask_at(&mut self, at: SimTime, uri: &str) -> Vec<Uuid> {
+            self.ask_loaded_at(at, uri, None)
+        }
+
+        /// [`Self::ask_at`], with the registry's utilization EWMA pinned to
+        /// `util` percent (if given) just before the query arrives.
+        fn ask_loaded_at(&mut self, at: SimTime, uri: &str, util: Option<u32>) -> Vec<Uuid> {
             self.next_seq += 1;
             let id = QueryId { origin: self.client, seq: self.next_seq };
             let q = QueryMessage {
@@ -1842,6 +1828,10 @@ mod tests {
                 ttl: 0,
                 reply_to: None,
             };
+            if let Some(pct) = util {
+                self.sim.run_until(at);
+                set_util(&mut self.sim, self.registry, pct);
+            }
             let client = self.client;
             self.deliver_at(at, client, DiscoveryMessage::querying(QueryOp::Query(q)));
             self.sim.run_until(at + 50);
@@ -1902,5 +1892,28 @@ mod tests {
         w.publish_at(300, PublishOp::Update { advert, lease_ms: 10_000 });
         assert_eq!(w.ask_at(400, "urn:svc:printer"), Vec::<Uuid>::new());
         assert_eq!(w.ask_at(450, "urn:svc:scanner"), vec![ADVERT]);
+    }
+
+    #[test]
+    fn no_answer_is_served_past_its_lease_under_load() {
+        let mut w = Coherence::overloaded();
+        let advert = w.advert("urn:svc:printer", 1);
+        w.publish_at(100, PublishOp::Publish { advert, lease_ms: 1_000 });
+        assert_eq!(w.ask_loaded_at(200, "urn:svc:printer", Some(90)), vec![ADVERT]);
+        // 100 ms past the lease, with the cached answer still on hand.
+        assert_eq!(w.ask_loaded_at(1_200, "urn:svc:printer", Some(90)), Vec::<Uuid>::new());
+    }
+
+    #[test]
+    fn an_answer_under_load_carries_every_hit() {
+        let mut w = Coherence::overloaded();
+        let ids: Vec<Uuid> = (1..=6).map(Uuid).collect();
+        for &id in &ids {
+            let advert = w.advert_as(id, "urn:svc:printer", 1);
+            w.publish_at(100, PublishOp::Publish { advert, lease_ms: 10_000 });
+        }
+        let mut hits = w.ask_loaded_at(200, "urn:svc:printer", Some(80));
+        hits.sort();
+        assert_eq!(hits, ids);
     }
 }

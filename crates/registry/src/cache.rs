@@ -67,9 +67,6 @@ pub struct CacheStats {
     pub expired: u64,
     /// Entries dropped by FIFO eviction at capacity.
     pub evicted: u64,
-    /// Lapsed-but-within-slack entries served by [`QueryCache::get_stale`]
-    /// (the overload path's graceful degradation; never counted as `hits`).
-    pub stale_hits: u64,
 }
 
 /// The cache proper. Not a shard: one per registry node, sitting in front of
@@ -136,30 +133,6 @@ impl QueryCache {
                 None
             }
         }
-    }
-
-    /// Like [`QueryCache::get`], but additionally serves entries whose
-    /// validity lapsed less than `slack` ago — the overload path's graceful
-    /// degradation: under saturation a slightly-stale answer beats a refusal.
-    /// A still-valid entry counts as an ordinary hit; a stale serve counts
-    /// under [`CacheStats::stale_hits`]. Unlike the strict lookup, a lapsed
-    /// entry is *not* dropped here (the sweep, or the next strict lookup,
-    /// retires it), so repeated overload queries keep a degraded answer.
-    pub fn get_stale(
-        &mut self,
-        key: &CacheKey,
-        now: SimTime,
-        slack: SimTime,
-    ) -> Option<&[ResponseHit]> {
-        let &(seq, valid_until) = self.entries.get(key)?;
-        if now < valid_until {
-            self.stats.hits += 1;
-        } else if now < valid_until.saturating_add(slack) {
-            self.stats.stale_hits += 1;
-        } else {
-            return None;
-        }
-        Some(&self.by_seq[&seq].hits)
     }
 
     /// Caches one evaluated result. `valid_until` must come from the
@@ -279,28 +252,6 @@ mod tests {
         assert!(c.is_empty(), "lapsed entry dropped on lookup");
         let s = c.stats();
         assert_eq!((s.hits, s.misses, s.expired), (2, 2, 1));
-    }
-
-    #[test]
-    fn stale_lookup_serves_within_slack_without_dropping() {
-        let mut c = QueryCache::new(8);
-        let payload = QueryPayload::Uri("urn:a".into());
-        let key = cache_key(&payload, None);
-        let hits = vec![uri_hit(1, "urn:a")];
-        c.insert(key.clone(), &payload, hits.clone(), 100, 10);
-        // Fresh: an ordinary hit.
-        assert_eq!(c.get_stale(&key, 50, 200).unwrap(), &hits[..]);
-        // Lapsed but within slack: served as stale, entry kept.
-        assert_eq!(c.get_stale(&key, 150, 200).unwrap(), &hits[..]);
-        assert_eq!(c.len(), 1, "stale serve must not drop the entry");
-        // Beyond slack: refused (but still not dropped — sweeps retire it).
-        assert!(c.get_stale(&key, 500, 200).is_none());
-        assert_eq!(c.len(), 1);
-        let s = c.stats();
-        assert_eq!((s.hits, s.stale_hits), (1, 1));
-        // The strict lookup still retires the lapsed entry.
-        assert!(c.get(&key, 150).is_none());
-        assert!(c.is_empty());
     }
 
     #[test]
