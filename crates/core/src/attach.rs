@@ -40,9 +40,10 @@ pub struct RegistryAttachment {
     home: Option<NodeId>,
     /// Known registries with the time they were last heard from.
     candidates: BTreeMap<NodeId, SimTime>,
-    /// Last time any registry signal was heard on this LAN (gates the
-    /// decentralized fallback).
-    last_lan_registry_signal: Option<SimTime>,
+    /// The last registry signal heard on this LAN: who sent it, and when
+    /// (gates the decentralized fallback). Cleared when the ping round
+    /// drops that registry as a dead home.
+    last_lan_registry_signal: Option<(NodeId, SimTime)>,
     /// Pings sent to the home registry without a pong.
     unanswered_pings: u8,
     /// Ping rounds since the failover candidate list was last refreshed.
@@ -103,13 +104,14 @@ impl RegistryAttachment {
         self.candidates.len()
     }
 
-    /// True when some registry was recently heard on the local LAN — used to
-    /// decide whether the decentralized fallback should kick in.
+    /// True when some registry was recently heard on the local LAN and this
+    /// node's pings have not since declared it dead — used to decide whether
+    /// the decentralized fallback should kick in.
     pub fn lan_has_registry(&self, now: SimTime) -> bool {
         self.home.is_some()
             || self
                 .last_lan_registry_signal
-                .is_some_and(|t| now.saturating_sub(t) < BEACON_TIMEOUT)
+                .is_some_and(|(_, t)| now.saturating_sub(t) < BEACON_TIMEOUT)
     }
 
     /// Starts (or restarts, after a crash) discovery. Returns an event when
@@ -171,7 +173,7 @@ impl RegistryAttachment {
         match op {
             MaintenanceOp::RegistryProbeReply { load, .. } => {
                 self.candidates.insert(from, ctx.now());
-                self.last_lan_registry_signal = Some(ctx.now());
+                self.last_lan_registry_signal = Some((from, ctx.now()));
                 self.probe_failures = 0;
                 if self.home.is_none() {
                     // Load-balanced selection: collect replies for a short
@@ -190,7 +192,7 @@ impl RegistryAttachment {
             }
             MaintenanceOp::RegistryBeacon { .. } => {
                 self.candidates.insert(from, ctx.now());
-                self.last_lan_registry_signal = Some(ctx.now());
+                self.last_lan_registry_signal = Some((from, ctx.now()));
                 self.probe_failures = 0;
                 // Passive discovery attaches directly (beacons arrive one at
                 // a time anyway), but never preempts an open probe window.
@@ -267,8 +269,12 @@ impl RegistryAttachment {
         ctx.set_timer(self.cfg.ping_interval, tags::PING);
         let home = self.home?;
         if self.unanswered_pings >= HOME_PING_TOLERANCE {
-            // Home registry presumed dead: drop it and fail over.
+            // Home registry presumed dead: drop it and fail over. Its last
+            // beacon no longer vouches for a live registry on the LAN.
             self.candidates.remove(&home);
+            if self.last_lan_registry_signal.is_some_and(|(r, _)| r == home) {
+                self.last_lan_registry_signal = None;
+            }
             self.home = None;
             self.unanswered_pings = 0;
             return match self.best_candidate() {

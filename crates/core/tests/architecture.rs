@@ -510,11 +510,11 @@ fn cached_response_hits_share_the_stores_adverts() {
 }
 
 #[test]
-fn fallback_waits_out_the_beacon_timeout_after_the_lan_registry_crashes() {
+fn fallback_starts_when_the_provider_drops_its_dead_lan_registry() {
     let mut w = world(1, 12);
     let r = w.registry(0, RegistryConfig::default());
     // Fast home pings, so the provider loses its home well inside the
-    // beacon timeout and the timeout alone gates the fallback.
+    // beacon timeout: ping detection alone gates the fallback.
     let attach = AttachConfig { ping_interval: secs(1), ..Default::default() };
     let s = w.service(
         0,
@@ -528,19 +528,22 @@ fn fallback_waits_out_the_beacon_timeout_after_the_lan_registry_crashes() {
     // The last beacon went out at 5 s; the provider's pings at 7 s and 8 s
     // go unanswered, and the 9 s ping round drops the dead home.
     w.sim.crash_node(r);
+    let multicast = QueryOptions { mode: QueryMode::MulticastLan, ..Default::default() };
+    let chat = || QueryPayload::Uri("urn:svc:chat".into());
+    // Still attached: the provider believes its home is live, no fallback.
+    w.sim.run_until(8_000);
+    w.query(c, chat(), multicast.clone());
     w.sim.run_until(8_990);
     assert_eq!(home(&w), Some(r));
     w.sim.run_until(9_000);
     assert_eq!(home(&w), None, "the provider lost its home");
 
-    let multicast = QueryOptions { mode: QueryMode::MulticastLan, ..Default::default() };
-    let chat = || QueryPayload::Uri("urn:svc:chat".into());
-    // Homeless, but the registry was heard less than 12 s ago: no fallback.
+    // The dead home's last beacon (5 s) is less than 12 s old, but it no
+    // longer counts: the LAN is registry-less from the 9 s ping round on.
     w.sim.run_until(12_000);
     w.query(c, chat(), multicast.clone());
     w.sim.run_until(16_990);
     w.query(c, chat(), multicast.clone());
-    // 12 s after the last beacon the LAN counts as registry-less.
     w.sim.run_until(17_000);
     w.query(c, chat(), multicast);
     w.sim.run_until(secs(22));
@@ -550,6 +553,6 @@ fn fallback_waits_out_the_beacon_timeout_after_the_lan_registry_crashes() {
         v.sort_unstable();
         v
     };
-    assert_eq!(hits, vec![(0, 0), (1, 0), (2, 1)]);
-    assert_eq!(w.sim.handler::<ServiceNode>(s).unwrap().stats.fallback_answers, 1);
+    assert_eq!(hits, vec![(0, 0), (1, 1), (2, 1), (3, 1)]);
+    assert_eq!(w.sim.handler::<ServiceNode>(s).unwrap().stats.fallback_answers, 3);
 }
