@@ -52,6 +52,12 @@ scripts/bench_compare.sh bench-results/f175291.results bench-results/pr37.result
 # Deleting the unexercised baselines and turning one-valued config fields
 # into constants declares nothing either: every seed-exact value must be equal.
 scripts/bench_compare.sh bench-results/27304cc.results bench-results/pr40.results > /dev/null
+# Deleting the overload ladder's degraded and stale rungs moves answers on
+# the one workload that overloads: no answer is capped at 4 hits or served
+# from a lapsed cache entry, so recall, cache hits and response bytes rise
+# on flash_crowd, its two rung counters fall to 0, and nothing else moves.
+scripts/bench_compare.sh bench-results/15844dd.results bench-results/pr42.results \
+  bench-results/pr42.declared > /dev/null
 
 # Bounded chaos soak (quick mode): fixed 8-seed sweep of combined churn +
 # fault injection with post-heal convergence invariants. Deterministic, so
