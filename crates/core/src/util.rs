@@ -36,7 +36,7 @@ pub(crate) mod tags {
     /// Registry: anti-entropy round — exchange sync digests with peers.
     pub const SYNC: u64 = 13;
     /// Registry: overload-control tick — fold the ops counter into the
-    /// utilization EWMA and re-evaluate the shedding ladder.
+    /// utilization EWMA that the admission thresholds compare against.
     pub const OVERLOAD_TICK: u64 = 14;
 
     /// Width of every sequenced tag family's range. Wide enough that no

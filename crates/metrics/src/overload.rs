@@ -2,9 +2,9 @@
 //! the admission-control experiments.
 //!
 //! The simulator and node stats already count *mechanisms* (capacity drops,
-//! `Busy` nacks, stale serves); this ledger accounts for *outcomes* — of the
-//! queries a workload offered, how many came back answered, how fast, and
-//! how much backpressure each one absorbed. One ledger per measurement
+//! `Busy` nacks, deduplicated retries); this ledger accounts for *outcomes*
+//! — of the queries a workload offered, how many came back answered, how
+//! fast, and how much backpressure each one absorbed. One ledger per measurement
 //! window (e.g. calm vs storm) makes goodput-vs-offered-load tables a fold.
 
 use crate::stats::{ratio, Summary};
